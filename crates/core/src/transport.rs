@@ -1,5 +1,5 @@
 //! Verdict runners over a **transport trait**: the guarded counting
-//! sessions of [`verdict`](crate::verdict) driven by rounds that arrive
+//! session of [`verdict`](crate::verdict) driven by rounds that arrive
 //! from anywhere — an in-memory execution, or a leader ingesting framed
 //! deliveries over real TCP (`anonet-net`).
 //!
@@ -8,20 +8,22 @@
 //! * a [`RoundSource`] produces the leader's observations: one
 //!   [`RoundColumns`] per synchronous round, with every delivered
 //!   history interned in the source's [`HistoryArena`];
-//! * [`run_source_verdict`] feeds them to the matching guarded session
-//!   ([`GuardedKernelSession`] / [`GuardedHistoryTreeSession`]) and
-//!   reduces the run to a [`Verdict`];
+//! * [`GuardedSession::drive`](crate::verdict::GuardedSession::drive)
+//!   is the one loop that feeds them to a guarded session and reduces
+//!   the run to a [`Verdict`]; [`run_source_verdict`] only picks the
+//!   session ([`GuardedKernelSession`] / [`GuardedHistoryTreeSession`]);
 //! * transport failure is **fail-closed**: a [`TransportError`] (round
 //!   deadline missed, connection lost, protocol breach) converts the
 //!   run to [`Verdict::Undecided`] — never a count the remaining rounds
 //!   were not there to confirm.
 //!
 //! [`ExecutionSource`] adapts an in-memory (possibly faulted) execution
-//! to the trait; the equivalence tests pin `run_source_verdict` over it
-//! to the monolithic [`kernel_verdict`](crate::verdict::kernel_verdict)
-//! / [`history_tree_verdict`](crate::verdict::history_tree_verdict)
-//! runners, which is what lets `exp_net` byte-compare socketed verdicts
-//! against the in-memory oracle.
+//! to the trait. The in-memory runners
+//! [`kernel_verdict`](crate::verdict::kernel_verdict) /
+//! [`history_tree_verdict`](crate::verdict::history_tree_verdict) drive
+//! their sessions over it, so a socketed run and its in-memory oracle
+//! share the loop itself, which is what lets `exp_net` byte-compare
+//! their verdicts.
 
 use crate::verdict::{FaultPlan, GuardedHistoryTreeSession, GuardedKernelSession, Verdict};
 use anonet_multigraph::faults::FaultedExecution;
@@ -143,39 +145,17 @@ pub fn run_source_verdict_with_sink<T: RoundSource, S: TraceSink>(
 ) -> Verdict {
     match alg {
         TransportAlgorithm::Kernel => {
-            let mut session = GuardedKernelSession::new();
-            for _ in 0..max_rounds {
-                let round = match source.next_round() {
-                    Ok(Some(round)) => round,
-                    Ok(None) => break,
-                    Err(_) => return session.interrupt(sink),
-                };
-                if let Some(v) = session.step(source.arena(), &round, plan, sink) {
-                    return v;
-                }
-            }
-            session.finish(max_rounds, sink)
+            GuardedKernelSession::new().drive(source, max_rounds, plan, sink)
         }
         TransportAlgorithm::HistoryTree => {
-            let mut session = GuardedHistoryTreeSession::new();
-            for _ in 0..max_rounds {
-                let round = match source.next_round() {
-                    Ok(Some(round)) => round,
-                    Ok(None) => break,
-                    Err(_) => return session.interrupt(sink),
-                };
-                if let Some(v) = session.step(source.arena(), &round, plan, sink) {
-                    return v;
-                }
-            }
-            session.finish(max_rounds, sink)
+            GuardedHistoryTreeSession::new().drive(source, max_rounds, plan, sink)
         }
     }
 }
 
 /// [`RoundSource`] over an in-memory execution: yields each stored
-/// round in order, then `Ok(None)`. The reference implementation the
-/// socketed leader is tested against.
+/// round in order, moving it out of the execution, then `Ok(None)`.
+/// The reference implementation the socketed leader is tested against.
 #[derive(Debug, Clone)]
 pub struct ExecutionSource {
     execution: Execution,
@@ -200,7 +180,7 @@ impl RoundSource for ExecutionSource {
     }
 
     fn next_round(&mut self) -> Result<Option<RoundColumns>, TransportError> {
-        let round = self.execution.rounds.get(self.next).cloned();
+        let round = self.execution.rounds.get_mut(self.next).map(std::mem::take);
         self.next += 1;
         Ok(round)
     }
@@ -223,8 +203,19 @@ mod tests {
         ))
     }
 
+    fn ok(count: u64, rounds: u32) -> Verdict {
+        Verdict::Correct { count, rounds }
+    }
+
+    fn violation(kind: ViolationKind, round: u32) -> Verdict {
+        Verdict::ModelViolation { kind, round }
+    }
+
     #[test]
-    fn execution_source_matches_the_monolithic_runners() {
+    fn guarded_verdicts_match_the_golden_table() {
+        use ViolationKind::{
+            CensusConservation as Census, Connectivity, DeliveryIntegrity as Integrity,
+        };
         let plans = [
             FaultPlan::new(),
             FaultPlan::new().drop_deliveries(1, 4, 0),
@@ -233,22 +224,49 @@ mod tests {
             FaultPlan::new().crash_nodes(1, 2),
             FaultPlan::new().leader_restart(2),
         ];
-        for n in [4u64, 13] {
+        // Literal (kernel, history-tree) verdicts per plan over
+        // `horizon + 4` rounds. The history-tree rows include its known
+        // weaknesses (the crash escapes, the clean n=13 false alarm), so a
+        // change to any guarded screen shows up here.
+        let golden: [(u64, [(Verdict, Verdict); 6]); 2] = [
+            (
+                4,
+                [
+                    (ok(4, 3), ok(4, 3)),
+                    (violation(Census, 2), ok(4, 3)),
+                    (violation(Census, 2), ok(4, 3)),
+                    (violation(Connectivity, 2), violation(Connectivity, 2)),
+                    (violation(Census, 1), ok(6, 2)),
+                    (violation(Integrity, 2), violation(Integrity, 2)),
+                ],
+            ),
+            (
+                13,
+                [
+                    (ok(13, 4), violation(Census, 3)),
+                    (violation(Census, 1), violation(Census, 3)),
+                    (violation(Census, 2), violation(Census, 3)),
+                    (violation(Connectivity, 2), violation(Connectivity, 2)),
+                    (violation(Census, 2), ok(15, 3)),
+                    (violation(Integrity, 2), violation(Integrity, 2)),
+                ],
+            ),
+        ];
+        for (n, rows) in golden {
             let pair = TwinBuilder::new().build(n).unwrap();
             let horizon = pair.horizon + 4;
-            for plan in &plans {
+            for (plan, (kernel, tree)) in plans.iter().zip(rows) {
                 let mut src = source_for(n, horizon, plan);
-                assert_eq!(
-                    run_source_verdict(TransportAlgorithm::Kernel, &mut src, horizon, plan),
-                    kernel_verdict(&pair.smaller, horizon, plan, true),
-                    "kernel n={n} plan={plan:?}"
-                );
+                let v = run_source_verdict(TransportAlgorithm::Kernel, &mut src, horizon, plan);
+                assert_eq!(v, kernel, "kernel source n={n} plan={plan:?}");
+                let v = kernel_verdict(&pair.smaller, horizon, plan, true);
+                assert_eq!(v, kernel, "kernel n={n} plan={plan:?}");
                 let mut src = source_for(n, horizon, plan);
-                assert_eq!(
-                    run_source_verdict(TransportAlgorithm::HistoryTree, &mut src, horizon, plan),
-                    history_tree_verdict(&pair.smaller, horizon, plan, true),
-                    "history-tree n={n} plan={plan:?}"
-                );
+                let v =
+                    run_source_verdict(TransportAlgorithm::HistoryTree, &mut src, horizon, plan);
+                assert_eq!(v, tree, "history-tree source n={n} plan={plan:?}");
+                let v = history_tree_verdict(&pair.smaller, horizon, plan, true);
+                assert_eq!(v, tree, "history-tree n={n} plan={plan:?}");
             }
         }
     }

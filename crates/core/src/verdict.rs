@@ -32,6 +32,15 @@
 //! silently wrong under faults — the contrast `exp_faults` measures) and
 //! maps internal errors to [`Verdict::Undecided`] instead of panicking.
 //!
+//! The guarded arms of [`kernel_verdict`] and [`history_tree_verdict`]
+//! are one session type, [`GuardedSession`], over one loop,
+//! [`GuardedSession::drive`]: the session owns the round counter,
+//! restarts, the provisional decision and its confirmation, and the
+//! trace events, while a small [`Guard`] ([`KernelGuard`],
+//! [`HistoryTreeGuard`]) supplies only the per-round screen. The same
+//! session and loop serve every transport
+//! ([`run_source_verdict`](crate::transport::run_source_verdict)).
+//!
 //! The multigraph runners are traced: `*_with_sink` variants emit the
 //! same per-round [`RoundEvent`]s as the plain algorithms, plus the new
 //! `fault` facet on rounds a fault struck and a final `violation` event
@@ -64,6 +73,7 @@ use crate::algorithms::{run_degree_oracle, run_pd2_view_counting, CountingError,
 use crate::baselines::enumeration::run_enumeration_counting;
 use crate::baselines::mass_drain::run_mass_drain;
 use crate::baselines::pushsum::run_pushsum;
+use crate::transport::{ExecutionSource, RoundSource};
 use anonet_graph::faults::FaultyNetwork;
 use anonet_graph::{check_interval_connectivity, DynamicNetwork};
 use anonet_multigraph::history_tree::{HistoryTreeError, HistoryTreeLeader};
@@ -77,8 +87,8 @@ use anonet_multigraph::{HistoryArena, RoundColumns};
 use anonet_trace::{NullSink, RoundEvent, TraceSink};
 
 pub use anonet_multigraph::faults::{
-    simulate_with_faults, thin_multigraph, watched_verdict, FaultEvent, FaultKind, FaultPlan,
-    FaultRecord, FaultedExecution, Verdict, Violation, ViolationKind, WatchedLeader, WatchedRound,
+    simulate_with_faults, thin_multigraph, FaultEvent, FaultKind, FaultPlan, FaultRecord,
+    FaultedExecution, Verdict, Violation, ViolationKind, WatchedLeader, WatchedRound,
 };
 
 /// The growth of the flat constant-terms vector `m_r` at `level`
@@ -93,8 +103,9 @@ fn level_state_growth(level: u32) -> u64 {
 /// Runs the kernel counting algorithm on `m` under `plan` and reduces
 /// the run to a [`Verdict`].
 ///
-/// With `watchdogs = true` the leader is a [`WatchedLeader`]: every
-/// round passes the four model watchdogs, the decision is provisional
+/// With `watchdogs = true` the leader is a [`GuardedKernelSession`]
+/// driven over the execution: every round passes the
+/// [`WatchedLeader`]'s model watchdogs, the decision is provisional
 /// and confirmed through the horizon (a fault striking exactly the
 /// decision round can leave the observation system coincidentally
 /// consistent; the pretend histories fail to extend within a round or
@@ -122,43 +133,88 @@ pub fn kernel_verdict_with_sink<S: TraceSink>(
 ) -> Verdict {
     let faulted = simulate_with_faults(m, max_rounds as usize, plan);
     if watchdogs {
-        kernel_guarded(&faulted, max_rounds, plan, sink)
+        let mut source = ExecutionSource::from_faulted(faulted);
+        GuardedKernelSession::new().drive(&mut source, max_rounds, plan, sink)
     } else {
         kernel_unguarded(&faulted, max_rounds, plan, sink)
     }
 }
 
-/// The guarded kernel runner as an **incremental session**: the exact
-/// loop body of [`kernel_verdict`]'s watchdog arm, factored out so that
-/// rounds can arrive one at a time from any transport — the in-memory
-/// [`FaultedExecution`] here, a [`RoundSource`](crate::transport::RoundSource)
-/// over real sockets in `anonet-net`.
+/// What a [`Guard`] reports for a pre-decision round that passed its
+/// screen.
+#[derive(Debug)]
+pub struct Screened {
+    /// The round's trace event; the session adds the `fault` facet.
+    pub event: RoundEvent,
+    /// The count, the moment the observations pin one.
+    pub decision: Option<u64>,
+}
+
+/// The per-round screen of one guarded counting leader — the only part
+/// of a [`GuardedSession`] that differs between algorithms.
 ///
-/// Feed each observed round to [`step`](GuardedKernelSession::step); a
-/// `Some(verdict)` return is terminal (a watchdog fired and the
-/// violation event was already emitted). When the stream ends, close
-/// with [`finish`](GuardedKernelSession::finish). Driving a session this
-/// way over an execution's rounds is byte-for-byte the old inline loop —
-/// the empty-plan trace-identity tests pin it.
-pub struct GuardedKernelSession {
-    leader: WatchedLeader,
-    state_size: u64,
+/// Every method is called with the absolute round index `round`; a
+/// screen that fires returns the [`ViolationKind`] and the session turns
+/// it into a terminal [`Verdict::ModelViolation`] at that round.
+pub trait Guard: Default {
+    /// A leader restart with state loss.
+    fn restart(&mut self);
+
+    /// Screens and ingests a round before the decision.
+    fn screen(
+        &mut self,
+        arena: &HistoryArena,
+        deliveries: &RoundColumns,
+        round: u32,
+    ) -> Result<Screened, ViolationKind>;
+
+    /// Screens a confirmation round after the provisional decision.
+    fn confirm(
+        &mut self,
+        arena: &HistoryArena,
+        deliveries: &RoundColumns,
+        round: u32,
+    ) -> Result<(), ViolationKind>;
+
+    /// The leader's current candidate interval.
+    fn candidates(&self) -> Option<(i64, i64)>;
+}
+
+/// A guarded counting leader as an **incremental session**: rounds
+/// arrive one at a time from any transport — an in-memory execution, or
+/// a [`RoundSource`] over real sockets in `anonet-net` — and
+/// [`drive`](Self::drive) is the one loop that feeds them.
+///
+/// The session owns what every guarded leader shares: the round
+/// counter, restart dispatch, the provisional decision (confirmed
+/// through the horizon), the zero-count screen and the trace events;
+/// the [`Guard`] owns only its per-round screen. Feed each observed
+/// round to [`step`](Self::step); a `Some(verdict)` return is terminal
+/// (a screen fired and the violation event was already emitted). When
+/// the stream ends, close with [`finish`](Self::finish), or with
+/// [`interrupt`](Self::interrupt) when the transport failed.
+///
+/// Trace emission stops at the decision round: confirmation rounds are
+/// silent, so empty-plan traces match the plain algorithm exactly (the
+/// trace-identity tests pin it).
+#[derive(Debug, Default)]
+pub struct GuardedSession<G: Guard> {
+    guard: G,
     decided: Option<(u64, u32)>,
     round: u32,
 }
 
-impl Default for GuardedKernelSession {
-    fn default() -> GuardedKernelSession {
-        GuardedKernelSession::new()
-    }
-}
+/// The guarded kernel counting session ([`KernelGuard`]).
+pub type GuardedKernelSession = GuardedSession<KernelGuard>;
 
-impl GuardedKernelSession {
-    /// A fresh session: a [`WatchedLeader`] before its first round.
-    pub fn new() -> GuardedKernelSession {
-        GuardedKernelSession {
-            leader: WatchedLeader::new(),
-            state_size: 0,
+/// The guarded history-tree counting session ([`HistoryTreeGuard`]).
+pub type GuardedHistoryTreeSession = GuardedSession<HistoryTreeGuard>;
+
+impl<G: Guard> GuardedSession<G> {
+    /// A fresh session: the guarded leader before its first round.
+    pub fn new() -> GuardedSession<G> {
+        GuardedSession {
+            guard: G::default(),
             decided: None,
             round: 0,
         }
@@ -177,68 +233,52 @@ impl GuardedKernelSession {
 
     /// The leader's current candidate interval.
     pub fn candidates(&self) -> Option<(i64, i64)> {
-        self.leader.candidates()
+        self.guard.candidates()
     }
 
     /// Ingests the next observed round. Returns `Some(verdict)` when a
-    /// watchdog fires — terminal, the violation event has been emitted
+    /// screen fires — terminal, the violation event has been emitted
     /// and flushed — and `None` to continue.
     pub fn step<S: TraceSink>(
         &mut self,
         arena: &HistoryArena,
-        round: &RoundColumns,
+        deliveries: &RoundColumns,
         plan: &FaultPlan,
         sink: &mut S,
     ) -> Option<Verdict> {
-        let r32 = self.round;
+        let round = self.round;
         self.round += 1;
-        if plan.has_restart_at(r32) {
-            self.leader.restart();
+        if plan.has_restart_at(round) {
+            self.guard.restart();
         }
-        // Confirmation is budgeted: past the solver's column budget the
-        // remaining post-decision rounds keep only the allocation-free
-        // watchdogs (growing the O(3^level) system to a distant horizon
-        // would cost gigabytes).
-        let screened = if self.decided.is_some() && !self.leader.within_confirm_budget() {
-            self.leader
-                .confirm_screen(arena, round, r32 as usize)
-                .map(|()| None)
-        } else {
-            self.leader.ingest(arena, round).map(Some)
+        if self.decided.is_some() {
+            let confirmed = self.guard.confirm(arena, deliveries, round);
+            return confirmed
+                .err()
+                .map(|kind| violation_verdict(kind, round, plan, sink));
+        }
+        let screened = match self.guard.screen(arena, deliveries, round) {
+            Ok(screened) => screened,
+            Err(kind) => return Some(violation_verdict(kind, round, plan, sink)),
         };
-        match screened {
-            Err(v) => {
-                let mut ev = RoundEvent::new(r32).violation(v.kind.label());
-                if let Some(f) = plan.labels_at(r32) {
-                    ev = ev.fault(&f);
-                }
-                sink.record(&ev);
-                sink.flush();
-                Some(Verdict::ModelViolation {
-                    kind: v.kind,
-                    round: v.round,
-                })
-            }
-            // Trace emission stops at the decision round; the
-            // confirmation rounds that follow are silent so that
-            // empty-plan traces match the plain algorithm exactly.
-            Ok(Some(wr)) if self.decided.is_none() => {
-                self.state_size = self.state_size.saturating_add(level_state_growth(r32));
-                let mut ev = RoundEvent::new(r32)
-                    .candidates(wr.range.0, wr.range.1)
-                    .candidate_count(wr.solution_count)
-                    .kernel_dim(wr.kernel_dim)
-                    .state_size(self.state_size);
-                if let Some(f) = plan.labels_at(r32) {
-                    ev = ev.fault(&f);
-                }
-                sink.record(&ev);
-                if let Some(count) = wr.decision {
-                    self.decided = Some((count, r32 + 1));
-                }
+        let mut ev = screened.event;
+        if let Some(f) = plan.labels_at(round) {
+            ev = ev.fault(&f);
+        }
+        sink.record(&ev);
+        match screened.decision {
+            // A non-empty round cannot come from zero nodes.
+            Some(0) => Some(violation_verdict(
+                ViolationKind::CensusConservation,
+                round,
+                plan,
+                sink,
+            )),
+            Some(count) => {
+                self.decided = Some((count, round + 1));
                 None
             }
-            Ok(_) => None,
+            None => None,
         }
     }
 
@@ -250,7 +290,7 @@ impl GuardedKernelSession {
             Some((count, rounds)) => Verdict::Correct { count, rounds },
             None => Verdict::Undecided {
                 rounds: max_rounds,
-                candidates: self.leader.candidates(),
+                candidates: self.guard.candidates(),
             },
         }
     }
@@ -263,24 +303,95 @@ impl GuardedKernelSession {
         sink.flush();
         Verdict::Undecided {
             rounds: self.round,
-            candidates: self.leader.candidates(),
+            candidates: self.guard.candidates(),
         }
+    }
+
+    /// The one guarded round loop: steps the session over at most
+    /// `max_rounds` rounds of `source` and reduces the run to a
+    /// [`Verdict`]. A round that trips a screen ends the run; a
+    /// [`TransportError`](crate::transport::TransportError) interrupts
+    /// it (fail-closed); the end of the stream finishes it.
+    pub fn drive<T: RoundSource + ?Sized, S: TraceSink>(
+        mut self,
+        source: &mut T,
+        max_rounds: u32,
+        plan: &FaultPlan,
+        sink: &mut S,
+    ) -> Verdict {
+        for _ in 0..max_rounds {
+            let deliveries = match source.next_round() {
+                Ok(Some(deliveries)) => deliveries,
+                Ok(None) => break,
+                Err(_) => return self.interrupt(sink),
+            };
+            if let Some(v) = self.step(source.arena(), &deliveries, plan, sink) {
+                return v;
+            }
+        }
+        self.finish(max_rounds, sink)
     }
 }
 
-fn kernel_guarded<S: TraceSink>(
-    faulted: &FaultedExecution,
-    max_rounds: u32,
-    plan: &FaultPlan,
-    sink: &mut S,
-) -> Verdict {
-    let mut session = GuardedKernelSession::new();
-    for round in &faulted.execution.rounds {
-        if let Some(v) = session.step(&faulted.execution.arena, round, plan, sink) {
-            return v;
-        }
+/// The kernel leader's screen: a [`WatchedLeader`] (delivery integrity,
+/// connectivity, census conservation) and the plain algorithm's
+/// `state_size` accounting.
+///
+/// Confirmation is budgeted: past the solver's column budget the
+/// remaining post-decision rounds keep only the allocation-free
+/// watchdogs ([`WatchedLeader::confirm_screen`]) — growing the
+/// `O(3^level)` system to a distant horizon would cost gigabytes.
+#[derive(Debug, Default)]
+pub struct KernelGuard {
+    leader: WatchedLeader,
+    state_size: u64,
+}
+
+impl Guard for KernelGuard {
+    fn restart(&mut self) {
+        self.leader.restart();
     }
-    session.finish(max_rounds, sink)
+
+    fn screen(
+        &mut self,
+        arena: &HistoryArena,
+        deliveries: &RoundColumns,
+        round: u32,
+    ) -> Result<Screened, ViolationKind> {
+        let wr = self.leader.ingest(arena, deliveries).map_err(|v| v.kind)?;
+        self.state_size = self.state_size.saturating_add(level_state_growth(round));
+        // `M_r` has a one-dimensional kernel at every round (Lemma 2, with
+        // Lemma 3's closed form) whatever the execution; the `system`
+        // tests pin it.
+        let event = RoundEvent::new(round)
+            .candidates(wr.range.0, wr.range.1)
+            .candidate_count(wr.solution_count)
+            .kernel_dim(1)
+            .state_size(self.state_size);
+        Ok(Screened {
+            event,
+            decision: wr.decision,
+        })
+    }
+
+    fn confirm(
+        &mut self,
+        arena: &HistoryArena,
+        deliveries: &RoundColumns,
+        round: u32,
+    ) -> Result<(), ViolationKind> {
+        let confirmed = if self.leader.within_confirm_budget() {
+            self.leader.ingest(arena, deliveries).map(drop)
+        } else {
+            self.leader
+                .confirm_screen(arena, deliveries, round as usize)
+        };
+        confirmed.map_err(|v| v.kind)
+    }
+
+    fn candidates(&self) -> Option<(i64, i64)> {
+        self.leader.candidates()
+    }
 }
 
 fn kernel_unguarded<S: TraceSink>(
@@ -394,7 +505,8 @@ pub fn history_tree_verdict_with_sink<S: TraceSink>(
 ) -> Verdict {
     let faulted = simulate_with_faults(m, max_rounds as usize, plan);
     if watchdogs {
-        history_tree_guarded(&faulted, max_rounds, plan, sink)
+        let mut source = ExecutionSource::from_faulted(faulted);
+        GuardedHistoryTreeSession::new().drive(&mut source, max_rounds, plan, sink)
     } else {
         history_tree_unguarded(&faulted, max_rounds, plan, sink)
     }
@@ -410,211 +522,102 @@ fn history_tree_violation(e: &HistoryTreeError) -> ViolationKind {
     }
 }
 
-/// The guarded history-tree runner as an **incremental session** — the
-/// exact loop body of [`history_tree_verdict`]'s watchdog arm, factored
-/// out for round-at-a-time transports the same way as
-/// [`GuardedKernelSession`]. Same protocol: [`step`](Self::step) until
-/// it returns a terminal verdict, then [`finish`](Self::finish) (stream
-/// complete) or [`interrupt`](Self::interrupt) (transport failure,
-/// fail-closed to [`Verdict::Undecided`]).
-pub struct GuardedHistoryTreeSession {
+/// The history-tree leader's screens, deliberately `O(1)` per round on
+/// top of the leader's own `O(deliveries)` (see
+/// [`history_tree_verdict`]): spine monotonicity, raw-interval nesting,
+/// an empty round as a connectivity break, and — after the decision —
+/// well-formedness plus the spine-resurrection screen.
+#[derive(Debug, Default)]
+pub struct HistoryTreeGuard {
     leader: HistoryTreeLeader,
     prev_spine: Option<u64>,
     prev_raw: Option<(i64, i64)>,
-    decided: Option<(u64, u32)>,
-    round: u32,
 }
 
-impl Default for GuardedHistoryTreeSession {
-    fn default() -> GuardedHistoryTreeSession {
-        GuardedHistoryTreeSession::new()
-    }
-}
-
-impl GuardedHistoryTreeSession {
-    /// A fresh session: a [`HistoryTreeLeader`] before its first round.
-    pub fn new() -> GuardedHistoryTreeSession {
-        GuardedHistoryTreeSession {
-            leader: HistoryTreeLeader::new(),
-            prev_spine: None,
-            prev_raw: None,
-            decided: None,
-            round: 0,
-        }
+impl Guard for HistoryTreeGuard {
+    fn restart(&mut self) {
+        // State loss: the fresh leader expects round-0 histories, so any
+        // further delivery fails the integrity screen.
+        *self = HistoryTreeGuard::default();
     }
 
-    /// Rounds ingested so far.
-    pub fn rounds_seen(&self) -> u32 {
-        self.round
-    }
-
-    /// The provisional decision, if one was reached.
-    pub fn decision(&self) -> Option<(u64, u32)> {
-        self.decided
-    }
-
-    /// The leader's current candidate interval.
-    pub fn candidates(&self) -> Option<(i64, i64)> {
-        self.leader.candidates()
-    }
-
-    /// Ingests the next observed round. Returns `Some(verdict)` when a
-    /// screen fires — terminal, violation event emitted and flushed —
-    /// and `None` to continue.
-    pub fn step<S: TraceSink>(
+    fn screen(
         &mut self,
         arena: &HistoryArena,
-        round: &RoundColumns,
-        plan: &FaultPlan,
-        sink: &mut S,
-    ) -> Option<Verdict> {
-        let r32 = self.round;
-        self.round += 1;
-        if plan.has_restart_at(r32) {
-            // State loss: the fresh leader expects round-0 histories, so
-            // any further delivery fails the integrity screen below.
-            self.leader = HistoryTreeLeader::new();
-            self.prev_spine = None;
-            self.prev_raw = None;
-        }
-        if self.decided.is_some() {
-            // Post-decision confirmation screen: the spine is dead, so
-            // beyond well-formedness the only thing left to watch is a
-            // full-spine history coming back from the grave.
-            if round.is_empty() {
-                return Some(violation_verdict(ViolationKind::Connectivity, r32, plan, sink));
-            }
-            for d in round.iter() {
-                let well_formed = arena.history_len(d.state) == r32 as usize
-                    && arena.is_ternary(d.state)
-                    && (d.label == 1 || d.label == 2);
-                if !well_formed {
-                    return Some(violation_verdict(
-                        ViolationKind::DeliveryIntegrity,
-                        r32,
-                        plan,
-                        sink,
-                    ));
-                }
-                let resurrected = arena
-                    .masks(d.state)
-                    .iter()
-                    .all(|&mask| mask == LabelSet::L12.mask());
-                if resurrected {
-                    return Some(violation_verdict(
-                        ViolationKind::CensusConservation,
-                        r32,
-                        plan,
-                        sink,
-                    ));
-                }
-            }
-            return None;
-        }
+        deliveries: &RoundColumns,
+        round: u32,
+    ) -> Result<Screened, ViolationKind> {
         // In-model every live node delivers at least one message per
         // round; an empty round would otherwise read as spine death.
-        if round.is_empty() {
-            return Some(violation_verdict(ViolationKind::Connectivity, r32, plan, sink));
+        if deliveries.is_empty() {
+            return Err(ViolationKind::Connectivity);
         }
-        match self.leader.ingest(arena, round) {
-            Err(e) => Some(violation_verdict(history_tree_violation(&e), r32, plan, sink)),
-            Ok(step) => {
-                // In-model d_r = g_r + g_{r+1} is non-increasing; growth
-                // means deliveries were forged or replayed.
-                let spine = self.leader.spine_deliveries();
-                if self.prev_spine.is_some_and(|p| spine > p) {
-                    return Some(violation_verdict(
-                        ViolationKind::CensusConservation,
-                        r32,
-                        plan,
-                        sink,
-                    ));
-                }
-                self.prev_spine = Some(spine);
-                // In-model the raw per-round intervals nest (the spine
-                // telescope only ever tightens); a raw interval escaping
-                // its predecessor witnesses an out-of-model census even
-                // while the running intersection stays non-empty —
-                // the same screen the kernel's watcher applies to its
-                // per-level population ranges.
-                if let (Some((plo, phi)), Some((lo, hi))) =
-                    (self.prev_raw, self.leader.raw_candidates())
-                {
-                    if lo < plo || hi > phi {
-                        return Some(violation_verdict(
-                            ViolationKind::CensusConservation,
-                            r32,
-                            plan,
-                            sink,
-                        ));
-                    }
-                }
-                self.prev_raw = self.leader.raw_candidates();
-                let (lo, hi) = self.leader.candidates().unwrap_or((0, i64::MAX));
-                let mut ev = RoundEvent::new(r32)
-                    .deliveries(round.len() as u64)
-                    .candidates(lo, hi)
-                    .candidate_count((hi - lo + 1) as u64)
-                    .state_size(self.leader.classes())
-                    .spine(spine);
-                if let Some(f) = plan.labels_at(r32) {
-                    ev = ev.fault(&f);
-                }
-                sink.record(&ev);
-                if let Some(count) = step {
-                    if count == 0 {
-                        // A non-empty round cannot come from zero nodes.
-                        return Some(violation_verdict(
-                            ViolationKind::CensusConservation,
-                            r32,
-                            plan,
-                            sink,
-                        ));
-                    }
-                    self.decided = Some((count, r32 + 1));
-                }
-                None
+        let decision = self
+            .leader
+            .ingest(arena, deliveries)
+            .map_err(|e| history_tree_violation(&e))?;
+        // In-model d_r = g_r + g_{r+1} is non-increasing; growth means
+        // deliveries were forged or replayed.
+        let spine = self.leader.spine_deliveries();
+        if self.prev_spine.is_some_and(|p| spine > p) {
+            return Err(ViolationKind::CensusConservation);
+        }
+        self.prev_spine = Some(spine);
+        // In-model the raw per-round intervals nest (the spine telescope
+        // only ever tightens); a raw interval escaping its predecessor
+        // witnesses an out-of-model census even while the running
+        // intersection stays non-empty — the same screen the kernel's
+        // watcher applies to its per-level population ranges.
+        let raw = self.leader.raw_candidates();
+        if let (Some((plo, phi)), Some((lo, hi))) = (self.prev_raw, raw) {
+            if lo < plo || hi > phi {
+                return Err(ViolationKind::CensusConservation);
             }
         }
+        self.prev_raw = raw;
+        let (lo, hi) = self.leader.candidates().unwrap_or((0, i64::MAX));
+        let event = RoundEvent::new(round)
+            .deliveries(deliveries.len() as u64)
+            .candidates(lo, hi)
+            .candidate_count((hi - lo + 1) as u64)
+            .state_size(self.leader.classes())
+            .spine(spine);
+        Ok(Screened { event, decision })
     }
 
-    /// Closes the stream after `max_rounds` were available: the
-    /// confirmed decision or a decision-less horizon.
-    pub fn finish<S: TraceSink>(self, max_rounds: u32, sink: &mut S) -> Verdict {
-        sink.flush();
-        match self.decided {
-            Some((count, rounds)) => Verdict::Correct { count, rounds },
-            None => Verdict::Undecided {
-                rounds: max_rounds,
-                candidates: self.leader.candidates(),
-            },
+    fn confirm(
+        &mut self,
+        arena: &HistoryArena,
+        deliveries: &RoundColumns,
+        round: u32,
+    ) -> Result<(), ViolationKind> {
+        // The spine is dead, so beyond well-formedness the only thing
+        // left to watch is a full-spine history coming back from the
+        // grave.
+        if deliveries.is_empty() {
+            return Err(ViolationKind::Connectivity);
         }
+        for d in deliveries.iter() {
+            let well_formed = arena.history_len(d.state) == round as usize
+                && arena.is_ternary(d.state)
+                && (d.label == 1 || d.label == 2);
+            if !well_formed {
+                return Err(ViolationKind::DeliveryIntegrity);
+            }
+            let resurrected = arena
+                .masks(d.state)
+                .iter()
+                .all(|&mask| mask == LabelSet::L12.mask());
+            if resurrected {
+                return Err(ViolationKind::CensusConservation);
+            }
+        }
+        Ok(())
     }
 
-    /// Closes the stream **early** (transport failure): always
-    /// [`Verdict::Undecided`], never an unconfirmed count.
-    pub fn interrupt<S: TraceSink>(self, sink: &mut S) -> Verdict {
-        sink.flush();
-        Verdict::Undecided {
-            rounds: self.round,
-            candidates: self.leader.candidates(),
-        }
+    fn candidates(&self) -> Option<(i64, i64)> {
+        self.leader.candidates()
     }
-}
-
-fn history_tree_guarded<S: TraceSink>(
-    faulted: &FaultedExecution,
-    max_rounds: u32,
-    plan: &FaultPlan,
-    sink: &mut S,
-) -> Verdict {
-    let mut session = GuardedHistoryTreeSession::new();
-    for round in &faulted.execution.rounds {
-        if let Some(v) = session.step(&faulted.execution.arena, round, plan, sink) {
-            return v;
-        }
-    }
-    session.finish(max_rounds, sink)
 }
 
 fn history_tree_unguarded<S: TraceSink>(

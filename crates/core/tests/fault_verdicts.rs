@@ -11,15 +11,19 @@
 //!    `simulate` module's tests merely *observed* (dropped deliveries
 //!    make the leader undercount, duplicated deliveries shift the census
 //!    estimate upward) are *detected*: with watchdogs on, both convert
-//!    into `Verdict::ModelViolation` instead of a wrong count.
+//!    into `Verdict::ModelViolation` instead of a wrong count. A
+//!    proptest over seeded plans pins the guarded kernel runner's
+//!    fail-closed contract: a count, when reported, is the true one.
 
 use anonet_core::algorithms::{GeneralKCounting, KernelCounting};
 use anonet_core::trace::{MemorySink, RoundEvent};
 use anonet_core::verdict::{
-    general_k_verdict_with_sink, kernel_verdict, kernel_verdict_with_sink, FaultPlan, Verdict,
+    general_k_verdict_with_sink, kernel_verdict, kernel_verdict_with_sink, thin_multigraph,
+    FaultPlan, Verdict, ViolationKind,
 };
 use anonet_multigraph::adversary::TwinBuilder;
-use anonet_multigraph::Census;
+use anonet_multigraph::{Census, DblMultigraph};
+use proptest::prelude::*;
 
 fn jsonl(events: &[RoundEvent]) -> String {
     events
@@ -178,4 +182,92 @@ fn seeded_corpus_has_zero_silent_wrong_counts() {
     }
     assert!(violations > 0, "the corpus must actually exercise faults");
     assert!(correct > 0, "some faults must be harmless (post-decision)");
+}
+
+/// The guarded kernel runner over `rounds` rounds of `m`.
+fn run_watched(m: &DblMultigraph, rounds: usize, plan: &FaultPlan) -> Verdict {
+    kernel_verdict(m, rounds as u32, plan, true)
+}
+
+#[test]
+fn drops_trip_a_watchdog() {
+    let pair = TwinBuilder::new().build(13).unwrap();
+    let plan = FaultPlan::new().drop_deliveries(1, 4, 0);
+    let verdict = run_watched(&pair.smaller, 6, &plan);
+    assert!(
+        matches!(verdict, Verdict::ModelViolation { .. }),
+        "dropped deliveries must be detected, got {verdict}"
+    );
+}
+
+#[test]
+fn duplicates_trip_a_watchdog() {
+    let pair = TwinBuilder::new().build(13).unwrap();
+    let plan = FaultPlan::new().duplicate_deliveries(0, 2, 0);
+    let verdict = run_watched(&pair.smaller, 6, &plan);
+    assert!(
+        matches!(verdict, Verdict::ModelViolation { .. }),
+        "duplicated deliveries must be detected, got {verdict}"
+    );
+}
+
+#[test]
+fn disconnect_trips_the_connectivity_watchdog() {
+    let pair = TwinBuilder::new().build(13).unwrap();
+    let plan = FaultPlan::new().disconnect(2);
+    let verdict = run_watched(&pair.smaller, 6, &plan);
+    assert_eq!(
+        verdict,
+        Verdict::ModelViolation {
+            kind: ViolationKind::Connectivity,
+            round: 2
+        }
+    );
+}
+
+#[test]
+fn crash_never_yields_a_wrong_count() {
+    // A crashed node's missing contributions must not produce a
+    // *wrong* decided count: either detected or undecided or (if the
+    // crash strikes after the decision) correct.
+    for seed in 0..20u64 {
+        let pair = TwinBuilder::new().build(9).unwrap();
+        let round = (seed % 3) as u32;
+        let plan = FaultPlan::new().crash_nodes(round, 1 + (seed % 2) as u32);
+        let verdict = run_watched(&pair.smaller, 8, &plan);
+        if let Verdict::Correct { count, .. } = verdict {
+            assert_eq!(count, 9, "seed {seed}: silent wrong count");
+        }
+    }
+}
+
+#[test]
+fn thinning_stays_in_model() {
+    let pair = TwinBuilder::new().build(13).unwrap();
+    let thinned = thin_multigraph(&pair.smaller, 2).unwrap();
+    assert_eq!(thinned.nodes(), pair.smaller.nodes());
+    // A thinned network is a real network: the watched leader counts
+    // it exactly (possibly in more rounds).
+    let verdict = run_watched(&thinned, 16, &FaultPlan::new());
+    assert_eq!(verdict.count(), Some(13));
+}
+
+proptest! {
+    #[test]
+    fn watchdogs_never_output_a_wrong_count(
+        plan_seed in any::<u64>(),
+        n in 1u64..25,
+        faults in 0u32..4,
+    ) {
+        // The fail-closed contract over random plans: a guarded run on a
+        // worst-case twin network either counts exactly n, stays
+        // undecided, or names a model violation.
+        let pair = TwinBuilder::new().build(n).unwrap();
+        let horizon = pair.horizon + 3;
+        let plan = FaultPlan::seeded(plan_seed, horizon, faults);
+        match kernel_verdict(&pair.smaller, horizon, &plan, true) {
+            Verdict::Correct { count, .. } => prop_assert_eq!(count, n),
+            Verdict::Undecided { .. } | Verdict::ModelViolation { .. } => {}
+        }
+    }
 }

@@ -20,9 +20,9 @@
 //!   loop body is identical, so the produced [`Execution`] (and every
 //!   trace derived from it) is byte-identical to the unfaulted
 //!   simulator — a property test pins this across seeds.
-//! * [`WatchedLeader`] — the online counting leader wrapped in four
+//! * [`WatchedLeader`] — the online counting leader wrapped in three
 //!   runtime **model watchdogs** (delivery integrity, 1-interval
-//!   connectivity, census conservation, kernel consistency). In-model
+//!   connectivity, census conservation) plus a depth guard. In-model
 //!   executions never trip a watchdog (each check is implied by the
 //!   model, see the per-check notes); out-of-model executions either
 //!   trip one or leave the leader undecided — never a silently wrong
@@ -64,7 +64,7 @@ use crate::label::LabelSet;
 use crate::multigraph::{DblError, DblMultigraph};
 use crate::simulate::Execution;
 use crate::soa::{RoundColumns, RoundEngine};
-use crate::system::{IncrementalSolver, ObservationKernel};
+use crate::system::IncrementalSolver;
 use anonet_graph::faults::NetworkFaultPlan;
 use core::fmt;
 use rand::rngs::StdRng;
@@ -490,9 +490,10 @@ pub enum ViolationKind {
     /// are conserved (children sum to their parent), so the feasible
     /// range only ever shrinks.
     CensusConservation,
-    /// The verified kernel dimension of `M_r` disagreed with Lemma 3's
-    /// closed form (nullity 1) — the solver's decision rule would be
-    /// unsound.
+    /// The observation system cannot be checked soundly: the kernel
+    /// leader's round is deeper than its ternary index space (the depth
+    /// guard), or the general-`k` verifier's nullity disagreed with the
+    /// closed form — either way the decision rule would be unsound.
     KernelConsistency,
 }
 
@@ -601,12 +602,6 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Column budget for the kernel-consistency watchdog: identical to the
-/// kernel-verification budget of the counting algorithms (`3^5 = 243`
-/// unknowns, rounds ≤ 5); past it Lemma 3's closed form — re-proved by
-/// the verified prefix — stands in.
-const WATCHDOG_KERNEL_MAX_COLUMNS: usize = 243;
-
 /// Column budget for post-decision confirmation: the incremental solver
 /// allocates `O(3^level)` per ingested level, so confirming all the way
 /// to a large horizon is unaffordable (level 20 alone is gigabytes).
@@ -637,14 +632,11 @@ pub struct WatchedRound {
     pub range: (i64, i64),
     /// Number of feasible censuses on the affine line.
     pub solution_count: u64,
-    /// The kernel dimension of `M_r` — verified while within budget,
-    /// Lemma 3's closed form (1) past it.
-    pub kernel_dim: u64,
 }
 
 /// The online counting leader of
-/// [`OnlineLeader`](crate::simulate::OnlineLeader) hardened with four
-/// fail-closed model watchdogs.
+/// [`OnlineLeader`](crate::simulate::OnlineLeader) hardened with three
+/// fail-closed model watchdogs and a depth guard.
 ///
 /// Each ingested round is screened before it can influence a decision:
 ///
@@ -662,9 +654,14 @@ pub struct WatchedRound {
 ///    and admit a population `≥ 1`. In-model, level-`r+1` census
 ///    entries sum to their level-`r` parents, so feasible sets are
 ///    nested.
-/// 4. **Kernel consistency** — while within the column budget, the
-///    verified nullity of `M_r` must equal Lemma 3's value of 1, the
-///    premise of the unique-solution decision rule.
+/// 4. **Depth guard** — a round deeper than the `usize` ternary index
+///    space fails closed as [`ViolationKind::KernelConsistency`]
+///    instead of panicking.
+///
+/// The decision rule's premise, Lemma 2 (`dim ker M_r = 1`), is a fact
+/// about `M_r` alone, which does not depend on the execution, so tests
+/// on [`ObservationKernel`](crate::system::ObservationKernel) pin it
+/// once for every run.
 ///
 /// A tripped watchdog latches: every later `ingest` returns the same
 /// [`Violation`], and [`WatchedLeader::restart`] (state loss) does not
@@ -673,7 +670,6 @@ pub struct WatchedRound {
 #[derive(Debug)]
 pub struct WatchedLeader {
     solver: IncrementalSolver,
-    kernel: ObservationKernel,
     prev_range: Option<(i64, i64)>,
     absolute_round: u32,
     violation: Option<Violation>,
@@ -694,7 +690,6 @@ impl WatchedLeader {
     pub fn new() -> WatchedLeader {
         WatchedLeader {
             solver: IncrementalSolver::new(),
-            kernel: ObservationKernel::new(),
             prev_range: None,
             absolute_round: 0,
             violation: None,
@@ -705,12 +700,11 @@ impl WatchedLeader {
     }
 
     /// Simulates a leader restart with state loss: the observation
-    /// system, kernel tracker and candidate range are wiped; the
-    /// absolute round counter and any latched violation survive (they
-    /// belong to the caller's timeline, not the leader's memory).
+    /// system and candidate range are wiped; the absolute round counter
+    /// and any latched violation survive (they belong to the caller's
+    /// timeline, not the leader's memory).
     pub fn restart(&mut self) {
         self.solver = IncrementalSolver::new();
-        self.kernel = ObservationKernel::new();
         self.prev_range = None;
         self.decided = None;
     }
@@ -795,7 +789,7 @@ impl WatchedLeader {
         v
     }
 
-    /// Ingests one round of deliveries through all four watchdogs.
+    /// Ingests one round of deliveries through every watchdog.
     ///
     /// # Errors
     ///
@@ -852,20 +846,6 @@ impl WatchedLeader {
             // Unreachable after the integrity checks; typed, not a panic.
             Err(_) => return Err(self.trip(ViolationKind::DeliveryIntegrity)),
         };
-        // Watchdog 4: kernel consistency (checked before the census so a
-        // broken decision rule is named as such, not as infeasibility).
-        let kernel_dim = if within_column_budget(level + 1, WATCHDOG_KERNEL_MAX_COLUMNS) {
-            if self.kernel.push_round().is_err() {
-                return Err(self.trip(ViolationKind::KernelConsistency));
-            }
-            let nullity = self.kernel.nullity() as u64;
-            if nullity != 1 {
-                return Err(self.trip(ViolationKind::KernelConsistency));
-            }
-            nullity
-        } else {
-            1 // Lemma 3, re-proved by the verified prefix.
-        };
         // Watchdog 3: census conservation.
         let Some(range) = sol.population_range() else {
             return Err(self.trip(ViolationKind::CensusConservation));
@@ -888,70 +868,7 @@ impl WatchedLeader {
             decision,
             range,
             solution_count: sol.solution_count() as u64,
-            kernel_dim,
         })
-    }
-}
-
-/// Runs the fault-injected protocol end to end and reduces it to a
-/// [`Verdict`]: simulate `max_rounds` rounds of `m` under `plan`, feed
-/// every round through a [`WatchedLeader`], and — crucially — **keep
-/// watching after the decision**. A fault striking exactly the decision
-/// round can leave the deficient observation system coincidentally
-/// consistent (the `simulate` tests show drops undercounting this way);
-/// the inconsistency then materializes within a round or two, when the
-/// pretend histories fail to extend. The leader therefore decides
-/// *provisionally* and confirms through the horizon: any later watchdog
-/// trip converts the run to [`Verdict::ModelViolation`].
-///
-/// On in-model executions the confirmation never fires and the verdict
-/// is `Correct` with the same count and decision round as the plain
-/// algorithms — trace emission (in `anonet-core`'s fault-aware runners)
-/// stops at the decision round, so empty-plan traces stay byte-identical.
-///
-/// Confirmation is budgeted: once the solver's next level would exceed
-/// [`WatchedLeader::within_confirm_budget`]'s column budget, the
-/// remaining post-decision rounds run only the allocation-free
-/// watchdogs ([`WatchedLeader::confirm_screen`]) — growing the
-/// `O(3^level)` observation system to a distant horizon would otherwise
-/// cost gigabytes.
-pub fn watched_verdict(m: &DblMultigraph, max_rounds: u32, plan: &FaultPlan) -> Verdict {
-    let faulted = simulate_with_faults(m, max_rounds as usize, plan);
-    let mut leader = WatchedLeader::new();
-    let mut decided: Option<(u64, u32)> = None;
-    for (r, round) in faulted.execution.rounds.iter().enumerate() {
-        if plan.has_restart_at(r as u32) {
-            leader.restart();
-        }
-        let screened = if decided.is_some() && !leader.within_confirm_budget() {
-            leader
-                .confirm_screen(&faulted.execution.arena, round, r)
-                .map(|()| None)
-        } else {
-            leader.ingest(&faulted.execution.arena, round).map(Some)
-        };
-        match screened {
-            Err(v) => {
-                return Verdict::ModelViolation {
-                    kind: v.kind,
-                    round: v.round,
-                }
-            }
-            Ok(wr) => {
-                if decided.is_none() {
-                    if let Some(count) = wr.and_then(|wr| wr.decision) {
-                        decided = Some((count, r as u32 + 1));
-                    }
-                }
-            }
-        }
-    }
-    match decided {
-        Some((count, rounds)) => Verdict::Correct { count, rounds },
-        None => Verdict::Undecided {
-            rounds: max_rounds,
-            candidates: leader.candidates(),
-        },
     }
 }
 
@@ -962,10 +879,6 @@ mod tests {
     use crate::census::Census;
     use crate::simulate::simulate;
 
-    fn run_watched(m: &DblMultigraph, rounds: usize, plan: &FaultPlan) -> Verdict {
-        watched_verdict(m, rounds as u32, plan)
-    }
-
     #[test]
     fn empty_plan_reproduces_simulate_exactly() {
         let pair = TwinBuilder::new().build(13).unwrap();
@@ -975,82 +888,6 @@ mod tests {
         assert_eq!(faulted.execution, clean);
         // Even the arena layout matches: the loop bodies are identical.
         assert_eq!(faulted.execution.arena.interned(), clean.arena.interned());
-    }
-
-    #[test]
-    fn watched_leader_counts_clean_executions() {
-        for n in [1u64, 4, 13, 40] {
-            let pair = TwinBuilder::new().build(n).unwrap();
-            let verdict = run_watched(&pair.smaller, pair.horizon as usize + 4, &FaultPlan::new());
-            assert_eq!(verdict.count(), Some(n), "clean run counts n={n}");
-        }
-    }
-
-    #[test]
-    fn drops_trip_a_watchdog() {
-        let pair = TwinBuilder::new().build(13).unwrap();
-        let plan = FaultPlan::new().drop_deliveries(1, 4, 0);
-        let verdict = run_watched(&pair.smaller, 6, &plan);
-        assert!(
-            matches!(verdict, Verdict::ModelViolation { .. }),
-            "dropped deliveries must be detected, got {verdict}"
-        );
-    }
-
-    #[test]
-    fn duplicates_trip_a_watchdog() {
-        let pair = TwinBuilder::new().build(13).unwrap();
-        let plan = FaultPlan::new().duplicate_deliveries(0, 2, 0);
-        let verdict = run_watched(&pair.smaller, 6, &plan);
-        assert!(
-            matches!(verdict, Verdict::ModelViolation { .. }),
-            "duplicated deliveries must be detected, got {verdict}"
-        );
-    }
-
-    #[test]
-    fn disconnect_trips_the_connectivity_watchdog() {
-        let pair = TwinBuilder::new().build(13).unwrap();
-        let plan = FaultPlan::new().disconnect(2);
-        let verdict = run_watched(&pair.smaller, 6, &plan);
-        assert_eq!(
-            verdict,
-            Verdict::ModelViolation {
-                kind: ViolationKind::Connectivity,
-                round: 2
-            }
-        );
-    }
-
-    #[test]
-    fn restart_is_detected_as_state_loss() {
-        let pair = TwinBuilder::new().build(13).unwrap();
-        let plan = FaultPlan::new().leader_restart(2);
-        let verdict = run_watched(&pair.smaller, 6, &plan);
-        assert_eq!(
-            verdict,
-            Verdict::ModelViolation {
-                kind: ViolationKind::DeliveryIntegrity,
-                round: 2
-            },
-            "round-2 states have length 2, the restarted solver expects 0"
-        );
-    }
-
-    #[test]
-    fn crash_never_yields_a_wrong_count() {
-        // A crashed node's missing contributions must not produce a
-        // *wrong* decided count: either detected or undecided or (if the
-        // crash strikes after the decision) correct.
-        for seed in 0..20u64 {
-            let pair = TwinBuilder::new().build(9).unwrap();
-            let round = (seed % 3) as u32;
-            let plan = FaultPlan::new().crash_nodes(round, 1 + (seed % 2) as u32);
-            let verdict = run_watched(&pair.smaller, 8, &plan);
-            if let Verdict::Correct { count, .. } = verdict {
-                assert_eq!(count, 9, "seed {seed}: silent wrong count");
-            }
-        }
     }
 
     #[test]
@@ -1121,17 +958,6 @@ mod tests {
         assert_eq!(faulted.records[0].affected, 2, "4 deliveries, stride 2");
         assert_eq!(faulted.records[1].affected, 1, "one node crashed");
         assert_eq!(faulted.execution.rounds[0].len(), 2);
-    }
-
-    #[test]
-    fn thinning_stays_in_model() {
-        let pair = TwinBuilder::new().build(13).unwrap();
-        let thinned = thin_multigraph(&pair.smaller, 2).unwrap();
-        assert_eq!(thinned.nodes(), pair.smaller.nodes());
-        // A thinned network is a real network: the watched leader counts
-        // it exactly (possibly in more rounds).
-        let verdict = run_watched(&thinned, 16, &FaultPlan::new());
-        assert_eq!(verdict.count(), Some(13));
     }
 
     #[test]

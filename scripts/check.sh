@@ -10,8 +10,25 @@ cd "$(dirname "$0")/.."
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
+# Fails the check unless two outputs are byte-identical: names what
+# differed, shows the head of the diff and removes the temporary paths
+# given after the two files.
+# Usage: same_output <what differed> <expected> <actual> [temp paths...]
+same_output() {
+    local what=$1 expected=$2 actual=$3
+    shift 3
+    cmp -s "$expected" "$actual" && return 0
+    echo "error: $what" >&2
+    diff "$expected" "$actual" | head -20 >&2
+    rm -rf "$@"
+    exit 1
+}
+
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
+
+echo "==> sessionbench self-tests (its own workspace, built on the session types' public surface)"
+cargo test --release --offline --manifest-path sessionbench/Cargo.toml
 
 echo "==> cargo doc --no-deps (missing_docs must be clean)"
 doc_log=$(cargo doc --no-deps 2>&1) || { echo "$doc_log"; exit 1; }
@@ -45,12 +62,8 @@ if [[ $fast -eq 0 ]]; then
     mserial=$(mktemp) mparallel=$(mktemp)
     "$mbin" --smoke --threads 1 --json --no-timings >"$mserial"
     "$mbin" --smoke --threads 4 --json --no-timings >"$mparallel"
-    if ! cmp -s "$mserial" "$mparallel"; then
-        echo "error: exp_modp_scaling output differs between 1 and 4 threads" >&2
-        diff "$mserial" "$mparallel" | head -20 >&2
-        rm -f "$mserial" "$mparallel"
-        exit 1
-    fi
+    same_output "exp_modp_scaling output differs between 1 and 4 threads" \
+        "$mserial" "$mparallel" "$mserial" "$mparallel"
     rm -f "$mserial" "$mparallel"
 
     echo "==> committed BENCH_modp.json gates (exp_modp_scaling --lint-bench: speedup floors, fast n >= 10^5)"
@@ -68,12 +81,8 @@ if [[ $fast -eq 0 ]]; then
     sserial=$(mktemp) sparallel=$(mktemp)
     "$sbin" --smoke --threads 1 --json --no-timings >"$sserial"
     "$sbin" --smoke --threads 4 --json --no-timings >"$sparallel"
-    if ! cmp -s "$sserial" "$sparallel"; then
-        echo "error: exp_scale output differs between 1 and 4 threads" >&2
-        diff "$sserial" "$sparallel" | head -20 >&2
-        rm -f "$sserial" "$sparallel"
-        exit 1
-    fi
+    same_output "exp_scale output differs between 1 and 4 threads" \
+        "$sserial" "$sparallel" "$sserial" "$sparallel"
     rm -f "$sserial" "$sparallel"
 
     echo "==> committed BENCH_scale.json gates (exp_scale --lint-bench: speedup floor, n >= 10^5)"
@@ -93,12 +102,8 @@ if [[ $fast -eq 0 ]]; then
     cserial=$(mktemp) cparallel=$(mktemp)
     "$cbin" --smoke --threads 1 --json --no-timings >"$cserial"
     "$cbin" --smoke --threads 4 --json --no-timings >"$cparallel"
-    if ! cmp -s "$cserial" "$cparallel"; then
-        echo "error: exp_crossover output differs between 1 and 4 threads" >&2
-        diff "$cserial" "$cparallel" | head -20 >&2
-        rm -f "$cserial" "$cparallel"
-        exit 1
-    fi
+    same_output "exp_crossover output differs between 1 and 4 threads" \
+        "$cserial" "$cparallel" "$cserial" "$cparallel"
     rm -f "$cserial" "$cparallel"
 
     echo "==> committed BENCH_crossover.json gates (exp_crossover --lint-bench: crossover cell, n >= 29524)"
@@ -121,12 +126,8 @@ if [[ $fast -eq 0 ]]; then
     fserial=$(mktemp) fparallel=$(mktemp)
     "$fbin" --smoke --threads 1 --json --no-timings >"$fserial"
     "$fbin" --smoke --threads 4 --json --no-timings >"$fparallel"
-    if ! cmp -s "$fserial" "$fparallel"; then
-        echo "error: exp_faults output differs between 1 and 4 threads" >&2
-        diff "$fserial" "$fparallel" | head -20 >&2
-        rm -f "$fserial" "$fparallel"
-        exit 1
-    fi
+    same_output "exp_faults output differs between 1 and 4 threads" \
+        "$fserial" "$fparallel" "$fserial" "$fparallel"
     rm -f "$fserial" "$fparallel"
 fi
 
@@ -156,12 +157,8 @@ if [[ $fast -eq 0 ]]; then
     xserial=$(mktemp) xparallel=$(mktemp)
     "$xbin" --smoke --threads 1 --json >"$xserial"
     "$xbin" --smoke --threads 4 --json >"$xparallel"
-    if ! cmp -s "$xserial" "$xparallel"; then
-        echo "error: exp_search output differs between 1 and 4 threads" >&2
-        diff "$xserial" "$xparallel" | head -20 >&2
-        rm -f "$xserial" "$xparallel"
-        exit 1
-    fi
+    same_output "exp_search output differs between 1 and 4 threads" \
+        "$xserial" "$xparallel" "$xserial" "$xparallel"
     rm -f "$xserial" "$xparallel"
 
     echo "==> adversary-search crash safety: inject-panic -> lint -> resume -> byte-compare"
@@ -177,12 +174,8 @@ if [[ $fast -eq 0 ]]; then
     "$xbin" --lint-checkpoint "$xckpt" >/dev/null
     "$xbin" --smoke --threads 4 --json \
         --checkpoint "$xckpt" --resume >"$xdir/resumed.json" 2>/dev/null
-    if ! cmp -s "$xdir/ref.json" "$xdir/resumed.json"; then
-        echo "error: resumed exp_search --json differs from an uninterrupted run" >&2
-        diff "$xdir/ref.json" "$xdir/resumed.json" | head -20 >&2
-        rm -rf "$xdir"
-        exit 1
-    fi
+    same_output "resumed exp_search --json differs from an uninterrupted run" \
+        "$xdir/ref.json" "$xdir/resumed.json" "$xdir"
     rm -rf "$xdir"
 fi
 
@@ -194,11 +187,7 @@ if [[ $fast -eq 0 ]]; then
     trap 'rm -f "$serial" "$parallel"' EXIT
     "$bin" --quick --threads 1 >"$serial"
     "$bin" --quick --threads 4 >"$parallel"
-    if ! cmp -s "$serial" "$parallel"; then
-        echo "error: exp_all output differs between 1 and 4 threads" >&2
-        diff "$serial" "$parallel" | head -20 >&2
-        exit 1
-    fi
+    same_output "exp_all output differs between 1 and 4 threads" "$serial" "$parallel"
 fi
 
 if [[ $fast -eq 0 ]]; then
@@ -219,11 +208,8 @@ if [[ $fast -eq 0 ]]; then
     "$bin" --lint-checkpoint "$ckpt" >/dev/null
     "$bin" --quick --threads 4 --json --no-timings \
         --checkpoint "$ckpt" --resume >"$crashdir/resumed.json" 2>/dev/null
-    if ! cmp -s "$crashdir/ref.json" "$crashdir/resumed.json"; then
-        echo "error: resumed exp_all --json differs from an uninterrupted run" >&2
-        diff "$crashdir/ref.json" "$crashdir/resumed.json" | head -20 >&2
-        exit 1
-    fi
+    same_output "resumed exp_all --json differs from an uninterrupted run" \
+        "$crashdir/ref.json" "$crashdir/resumed.json"
 
     echo "==> crash safety: SIGKILL mid-grid leaves no truncated checkpoint line"
     killckpt="$crashdir/killed.checkpoint.jsonl"
