@@ -75,7 +75,7 @@ use crate::baselines::mass_drain::run_mass_drain;
 use crate::baselines::pushsum::run_pushsum;
 use crate::transport::{ExecutionSource, RoundSource};
 use anonet_graph::faults::FaultyNetwork;
-use anonet_graph::{check_interval_connectivity, DynamicNetwork};
+use anonet_graph::{check_interval_connectivity, DynamicNetwork, Graph, GraphSequence};
 use anonet_multigraph::history_tree::{HistoryTreeError, HistoryTreeLeader};
 use anonet_multigraph::mutate::AdversarySchedule;
 use anonet_multigraph::simulate::OnlineLeader;
@@ -934,35 +934,46 @@ fn connectivity_prescan<N: DynamicNetwork + Clone>(
     check_interval_connectivity(&mut probe, window)
 }
 
-/// The first round in `0..window` whose faulted graph is not a
-/// restricted `G(PD)_2` — the graph-layer *shape* watchdog for the
-/// algorithms whose model is stronger than mere connectivity.
+/// The faulted round graphs `0..window` of `net`, each built once, so the
+/// graph-layer watchdogs of one session scan the same materialised
+/// window.
+fn faulted_window<N: DynamicNetwork>(net: &mut FaultyNetwork<N>, window: u32) -> Vec<Graph> {
+    (0..window).map(|r| net.graph(r)).collect()
+}
+
+/// The first disconnected round of a materialised window — the
+/// 1-interval-connectivity watchdog of [`connectivity_prescan`] over
+/// graphs that are already built.
+fn connectivity_scan(rounds: &[Graph]) -> Option<u32> {
+    rounds
+        .iter()
+        .position(|g| !g.is_connected())
+        .map(|r| r as u32)
+}
+
+/// The first round of a materialised window of an order-`order` network
+/// that is not a restricted `G(PD)_2` — the graph-layer *shape* watchdog
+/// for the algorithms whose model is stronger than mere connectivity.
 ///
 /// The layer assignment is fixed by round 0 (node 0 the leader, its
 /// round-0 neighbours the relays, everyone else a leaf); each round
 /// must then keep the leader touching exactly the relay layer, admit no
 /// intra-layer or leader–leaf edges, and give every leaf at least one
 /// relay. These conditions imply connectivity, but are checked
-/// *separately* from [`connectivity_prescan`] so disconnections are
+/// *separately* from [`connectivity_scan`] so disconnections are
 /// named [`ViolationKind::Connectivity`] and structural damage (e.g. an
 /// edge drop that severs a relay from the leader while the graph stays
 /// connected) is named [`ViolationKind::DeliveryIntegrity`].
-fn pd2_shape_prescan<N: DynamicNetwork + Clone>(
-    net: &FaultyNetwork<N>,
-    window: u32,
-) -> Option<u32> {
-    let mut probe = net.clone();
-    let order = probe.order();
+fn pd2_shape_scan(order: usize, rounds: &[Graph]) -> Option<u32> {
     if order == 0 {
         return Some(0);
     }
     let mut is_relay = vec![false; order];
-    for &v in probe.graph(0).neighbors(0) {
+    for &v in rounds.first()?.neighbors(0) {
         is_relay[v] = true;
     }
     let relay_count = is_relay.iter().filter(|&&r| r).count();
-    for r in 0..window {
-        let g = probe.graph(r);
+    for (r, g) in (0u32..).zip(rounds) {
         if g.order() != order {
             return Some(r);
         }
@@ -1004,15 +1015,33 @@ fn pd2_shape_prescan<N: DynamicNetwork + Clone>(
     None
 }
 
+/// The graph-layer watchdogs of the `G(PD)_2` algorithms over one
+/// materialised window: the connectivity scan runs first, so a
+/// disconnected round anywhere in the window is named
+/// [`ViolationKind::Connectivity`] even when an earlier round already
+/// breaks the shape.
+fn pd2_window_violation(order: usize, rounds: &[Graph]) -> Option<Verdict> {
+    if let Some(round) = connectivity_scan(rounds) {
+        return Some(Verdict::ModelViolation {
+            kind: ViolationKind::Connectivity,
+            round,
+        });
+    }
+    pd2_shape_scan(order, rounds).map(|round| Verdict::ModelViolation {
+        kind: ViolationKind::DeliveryIntegrity,
+        round,
+    })
+}
+
 /// Runs `G(PD)_2` view counting on `net` under the graph-level
 /// projection of `plan` ([`FaultPlan::network_plan`]) and reduces the
 /// run to a [`Verdict`].
 ///
-/// Watchdogs: a per-round connectivity prescan (any disconnected round
-/// within the horizon fails closed as
-/// [`ViolationKind::Connectivity`]), the `G(PD)_2` shape prescan
-/// (structural damage that keeps the graph connected fails closed as
-/// [`ViolationKind::DeliveryIntegrity`]), plus the decoder's own
+/// Watchdogs: over one window of faulted rounds, built once, a
+/// per-round connectivity scan (any disconnected round within the
+/// horizon fails closed as [`ViolationKind::Connectivity`]) and the
+/// `G(PD)_2` shape scan (structural damage that keeps the graph
+/// connected fails closed as [`ViolationKind::DeliveryIntegrity`]), plus the decoder's own
 /// structural checks — a [`Pd2ViewError::NotPd2`] rejection also
 /// becomes [`ViolationKind::DeliveryIntegrity`]. Unguarded runs map
 /// every error to [`Verdict::Undecided`] (the unguarded rule never
@@ -1027,17 +1056,11 @@ pub fn pd2_view_verdict<N: DynamicNetwork + Clone>(
 ) -> Verdict {
     let faulted = FaultyNetwork::new(net, plan.network_plan());
     if watchdogs {
-        if let Some(round) = connectivity_prescan(&faulted, max_rounds) {
-            return Verdict::ModelViolation {
-                kind: ViolationKind::Connectivity,
-                round,
-            };
-        }
-        if let Some(round) = pd2_shape_prescan(&faulted, max_rounds) {
-            return Verdict::ModelViolation {
-                kind: ViolationKind::DeliveryIntegrity,
-                round,
-            };
+        // The prescans read a clone, so generator-backed networks replay
+        // identically when the runner reads `faulted` afterwards.
+        let window = faulted_window(&mut faulted.clone(), max_rounds);
+        if let Some(violation) = pd2_window_violation(faulted.order(), &window) {
+            return violation;
         }
     }
     match run_pd2_view_counting(faulted, max_rounds, max_solutions) {
@@ -1063,40 +1086,40 @@ pub fn pd2_view_verdict<N: DynamicNetwork + Clone>(
     }
 }
 
+/// The degree oracle's whole horizon: it decides at round 2 or never.
+const ORACLE_ROUNDS: u32 = 3;
+
 /// Runs the O(1) degree-oracle algorithm on `net` under the graph-level
 /// projection of `plan` and reduces the run to a [`Verdict`].
 ///
-/// Watchdogs: a 3-round connectivity prescan (the algorithm's whole
-/// horizon) plus a 3-round **shape prescan** — the algorithm's model is
-/// the restricted `G(PD)_2`, and an edge drop can leave the graph
-/// connected while severing a relay from the leader, silently shrinking
-/// the telescoped sum to a smaller integer. A round that is not a
+/// The three faulted rounds of the algorithm's whole horizon are built
+/// once; the watchdogs scan them and the oracle then runs over them.
+///
+/// Watchdogs: a 3-round connectivity scan plus a 3-round **shape
+/// scan** — the algorithm's model is the restricted `G(PD)_2`, and an
+/// edge drop can leave the graph connected while severing a relay from
+/// the leader, silently shrinking the telescoped sum to a smaller
+/// integer. A round that is not a
 /// restricted `G(PD)_2` (with the layer assignment fixed by round 0)
 /// fails closed as [`ViolationKind::DeliveryIntegrity`]. The protocol's
 /// own fractional-sum withholding (the leader refuses to output when
 /// the telescoped shares are not an integer) maps to
 /// [`Verdict::Undecided`] in both arms.
-pub fn degree_oracle_verdict<N: DynamicNetwork + Clone>(
+pub fn degree_oracle_verdict<N: DynamicNetwork>(
     net: N,
     plan: &FaultPlan,
     watchdogs: bool,
 ) -> Verdict {
-    let faulted = FaultyNetwork::new(net, plan.network_plan());
+    let mut faulted = FaultyNetwork::new(net, plan.network_plan());
+    let order = faulted.order();
+    let window = faulted_window(&mut faulted, ORACLE_ROUNDS);
     if watchdogs {
-        if let Some(round) = connectivity_prescan(&faulted, 3) {
-            return Verdict::ModelViolation {
-                kind: ViolationKind::Connectivity,
-                round,
-            };
-        }
-        if let Some(round) = pd2_shape_prescan(&faulted, 3) {
-            return Verdict::ModelViolation {
-                kind: ViolationKind::DeliveryIntegrity,
-                round,
-            };
+        if let Some(violation) = pd2_window_violation(order, &window) {
+            return violation;
         }
     }
-    match run_degree_oracle(faulted) {
+    let rounds = GraphSequence::new(window).expect("faulted rounds share the network's order");
+    match run_degree_oracle(rounds) {
         Ok(out) => Verdict::Correct {
             count: out.count,
             rounds: out.rounds,
@@ -1105,7 +1128,7 @@ pub fn degree_oracle_verdict<N: DynamicNetwork + Clone>(
             Verdict::Undecided { rounds, candidates }
         }
         Err(_) => Verdict::Undecided {
-            rounds: 3,
+            rounds: ORACLE_ROUNDS,
             candidates: None,
         },
     }

@@ -84,19 +84,14 @@ impl<N: DynamicNetwork> DynamicNetwork for ChainExtended<N> {
 
     fn graph(&mut self, round: u32) -> Graph {
         let inner_g = self.inner.graph(round);
-        let mut g = Graph::empty(inner_g.order() + self.chain_len);
         // Static chain 0 - 1 - ... - chain_len.
-        for i in 1..=self.chain_len {
-            g.add_edge(i - 1, i).expect("chain edges valid");
-        }
+        let chain = (1..=self.chain_len).map(|i| (i - 1, i));
         // Inner edges, remapped; the inner leader's position is the chain end.
-        let offset = self.chain_len;
-        for (u, v) in inner_g.edges() {
-            let mu = if u == 0 { offset } else { offset + u };
-            let mv = if v == 0 { offset } else { offset + v };
-            g.add_edge(mu, mv).expect("remapped edges valid");
-        }
-        g
+        let remapped = inner_g
+            .edges()
+            .map(|(u, v)| (self.map_inner(u), self.map_inner(v)));
+        Graph::from_edges(inner_g.order() + self.chain_len, chain.chain(remapped))
+            .expect("chain and remapped edges valid")
     }
 }
 

@@ -175,6 +175,9 @@ impl<N: DynamicNetwork> DynamicNetwork for FaultyNetwork<N> {
 
     fn graph(&mut self, round: u32) -> Graph {
         let g = self.inner.graph(round);
+        if self.plan.is_empty() {
+            return g;
+        }
         self.plan.apply(&g, round)
     }
 }

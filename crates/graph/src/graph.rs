@@ -69,23 +69,53 @@ impl Graph {
         }
     }
 
-    /// Builds a graph from an explicit edge list.
+    /// Builds a graph from an explicit edge list in one bulk pass.
     ///
-    /// Duplicate edges are idempotent.
+    /// Every edge is validated in list order and counted, each adjacency
+    /// list is allocated at its final size, both directions are pushed,
+    /// and each list is then sorted and deduplicated once, so the build
+    /// costs O(E log d) rather than the O(E·d) of repeated
+    /// [`add_edge`](Graph::add_edge) calls. Duplicate edges (in either
+    /// orientation) are idempotent. The result, and the error for an
+    /// invalid list, equal folding `add_edge` over [`Graph::empty`].
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`]
-    /// for invalid edges.
+    /// for the first invalid edge.
     pub fn from_edges(
         order: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> Result<Graph, GraphError> {
-        let mut g = Graph::empty(order);
-        for (u, v) in edges {
-            g.add_edge(u, v)?;
+        let edges: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
+        let mut degree = vec![0usize; order];
+        for &(u, v) in &edges {
+            for node in [u, v] {
+                if node >= order {
+                    return Err(GraphError::NodeOutOfRange { node, order });
+                }
+            }
+            if u == v {
+                return Err(GraphError::SelfLoop { node: u });
+            }
+            degree[u] += 1;
+            degree[v] += 1;
         }
-        Ok(g)
+        let mut adj: Vec<Vec<NodeId>> = degree.into_iter().map(Vec::with_capacity).collect();
+        for (u, v) in edges {
+            adj[u].push(v);
+            adj[v].push(u);
+        }
+        let mut ends = 0;
+        for ns in &mut adj {
+            ns.sort_unstable();
+            ns.dedup();
+            ends += ns.len();
+        }
+        Ok(Graph {
+            adj,
+            edges: ends / 2,
+        })
     }
 
     /// A star with node `0` at the center — exactly the `G(PD)_1` topology
@@ -114,25 +144,21 @@ impl Graph {
     /// Returns [`GraphError::SelfLoop`] if `order < 3` makes the closing
     /// edge degenerate.
     pub fn cycle(order: usize) -> Result<Graph, GraphError> {
-        let mut g = Graph::path(order)?;
-        if order >= 2 {
-            g.add_edge(order - 1, 0)?;
-        }
-        Ok(g)
+        let closing = (order >= 2).then(|| (order - 1, 0));
+        Graph::from_edges(order, (1..order).map(|v| (v - 1, v)).chain(closing))
     }
 
     /// The complete graph on `order` nodes.
     pub fn complete(order: usize) -> Graph {
-        let mut g = Graph::empty(order);
-        for u in 0..order {
-            for v in (u + 1)..order {
-                g.add_edge(u, v).expect("complete graph edges are valid");
-            }
-        }
-        g
+        let pairs = (0..order).flat_map(|u| ((u + 1)..order).map(move |v| (u, v)));
+        Graph::from_edges(order, pairs).expect("complete graph edges are valid")
     }
 
     /// Inserts the undirected edge `{u, v}`; idempotent.
+    ///
+    /// Each insert keeps both adjacency lists sorted, so building a whole
+    /// graph this way costs O(E·d); [`Graph::from_edges`] is the bulk
+    /// path.
     ///
     /// # Errors
     ///
@@ -218,13 +244,8 @@ impl Graph {
                 order: self.order(),
             });
         }
-        let mut g = Graph::empty(self.order());
-        for (u, v) in self.edges() {
-            if other.has_edge(u, v) {
-                g.add_edge(u, v)?;
-            }
-        }
-        Ok(g)
+        let common = self.edges().filter(|&(u, v)| other.has_edge(u, v));
+        Graph::from_edges(self.order(), common)
     }
 
     /// The edge-union of two graphs over the same node set.
@@ -239,11 +260,7 @@ impl Graph {
                 order: self.order(),
             });
         }
-        let mut g = self.clone();
-        for (u, v) in other.edges() {
-            g.add_edge(u, v)?;
-        }
-        Ok(g)
+        Graph::from_edges(self.order(), self.edges().chain(other.edges()))
     }
 
     /// BFS distances from `src`; `None` for unreachable nodes.

@@ -96,22 +96,18 @@ impl Pd2Layout {
     }
 }
 
-/// Builds the round graph of a `G(PD)_2` network from per-leaf relay masks.
+/// Checks one round of per-leaf relay masks without building its graph.
 ///
-/// `masks[i]` is a bitmask over relays `0..layout.relays`: bit `j` set means
-/// leaf `i` touches relay `j` this round. The leader is always connected to
-/// every relay (keeping `V_1` at persistent distance 1).
+/// # Panics
+///
+/// Panics if `masks.len() != layout.leaves`.
 ///
 /// # Errors
 ///
-/// Returns [`PdError::EmptyMask`] or [`PdError::MaskOutOfRange`] on invalid
-/// masks and propagates graph construction failures.
-pub fn pd2_round_graph(layout: Pd2Layout, masks: &[u32]) -> Result<Graph, PdError> {
+/// Returns [`PdError::EmptyMask`] or [`PdError::MaskOutOfRange`] for the
+/// first invalid leaf.
+fn check_masks(layout: Pd2Layout, masks: &[u32]) -> Result<(), PdError> {
     assert_eq!(masks.len(), layout.leaves, "one mask per leaf required");
-    let mut g = Graph::empty(layout.order());
-    for j in 0..layout.relays {
-        g.add_edge(0, layout.relay(j))?;
-    }
     let full: u32 = if layout.relays >= 32 {
         u32::MAX
     } else {
@@ -128,14 +124,36 @@ pub fn pd2_round_graph(layout: Pd2Layout, masks: &[u32]) -> Result<Graph, PdErro
                 relays: layout.relays,
             });
         }
+    }
+    Ok(())
+}
+
+/// Builds the round graph of a `G(PD)_2` network from per-leaf relay masks.
+///
+/// `masks[i]` is a bitmask over relays `0..layout.relays`: bit `j` set means
+/// leaf `i` touches relay `j` this round. The leader is always connected to
+/// every relay (keeping `V_1` at persistent distance 1). The edge list is
+/// collected and handed to [`Graph::from_edges`], so the build is linear in
+/// the number of edges up to the per-list sort.
+///
+/// # Errors
+///
+/// Returns [`PdError::EmptyMask`] or [`PdError::MaskOutOfRange`] on invalid
+/// masks and propagates graph construction failures.
+pub fn pd2_round_graph(layout: Pd2Layout, masks: &[u32]) -> Result<Graph, PdError> {
+    check_masks(layout, masks)?;
+    let leaf_edges: usize = masks.iter().map(|m| m.count_ones() as usize).sum();
+    let mut edges = Vec::with_capacity(layout.relays + leaf_edges);
+    edges.extend((0..layout.relays).map(|j| (0, layout.relay(j))));
+    for (i, &mask) in masks.iter().enumerate() {
         let mut m = mask;
         while m != 0 {
             let j = m.trailing_zeros() as usize;
-            g.add_edge(layout.relay(j), layout.leaf(i))?;
+            edges.push((layout.relay(j), layout.leaf(i)));
             m &= m - 1;
         }
     }
-    Ok(g)
+    Ok(Graph::from_edges(layout.order(), edges)?)
 }
 
 /// A `G(PD)_2` network given by an explicit per-round mask schedule; the
@@ -163,18 +181,25 @@ pub struct Pd2Schedule {
 }
 
 impl Pd2Schedule {
-    /// Creates a schedule, validating every round's masks eagerly.
+    /// Creates a schedule, checking every round's masks up front without
+    /// building any round graph: O(rounds × leaves). Round graphs are
+    /// built on demand by [`DynamicNetwork::graph`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a round does not hold exactly one mask per leaf.
     ///
     /// # Errors
     ///
-    /// Returns the first mask error encountered; an empty schedule is
-    /// rejected as an empty mask at leaf 0 of a synthetic round.
+    /// Returns the first mask error encountered (earliest round, then
+    /// first leaf); an empty schedule is rejected as an empty mask at
+    /// leaf 0 of a synthetic round.
     pub fn new(layout: Pd2Layout, rounds: Vec<Vec<u32>>) -> Result<Pd2Schedule, PdError> {
         if rounds.is_empty() {
             return Err(PdError::EmptyMask { leaf: 0 });
         }
         for masks in &rounds {
-            pd2_round_graph(layout, masks)?;
+            check_masks(layout, masks)?;
         }
         Ok(Pd2Schedule { layout, rounds })
     }
@@ -329,12 +354,10 @@ impl<R: Rng> DynamicNetwork for RandomPdH<R> {
     }
 
     fn graph(&mut self, _round: u32) -> Graph {
-        let mut g = Graph::empty(self.layout.order());
         // Layer 1 is pinned to the leader.
-        for i in 0..self.layout.layers()[0] {
-            g.add_edge(0, self.layout.node(1, i))
-                .expect("layout nodes valid");
-        }
+        let mut edges: Vec<(usize, usize)> = (0..self.layout.layers()[0])
+            .map(|i| (0, self.layout.node(1, i)))
+            .collect();
         for layer in 2..=self.layout.h() {
             let parents = self.layout.layers()[layer - 2];
             let full = (1u32 << parents) - 1;
@@ -342,13 +365,12 @@ impl<R: Rng> DynamicNetwork for RandomPdH<R> {
                 let mut mask = self.rng.gen_range(1..=full);
                 while mask != 0 {
                     let p = mask.trailing_zeros() as usize;
-                    g.add_edge(self.layout.node(layer - 1, p), self.layout.node(layer, i))
-                        .expect("layout nodes valid");
+                    edges.push((self.layout.node(layer - 1, p), self.layout.node(layer, i)));
                     mask &= mask - 1;
                 }
             }
         }
-        g
+        Graph::from_edges(self.layout.order(), edges).expect("layout nodes valid")
     }
 }
 

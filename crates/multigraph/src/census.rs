@@ -9,6 +9,7 @@
 //! round.
 
 use crate::history::{ternary_count, History};
+use crate::label::LabelSet;
 use crate::multigraph::{DblError, DblMultigraph};
 use core::fmt;
 
@@ -202,16 +203,35 @@ impl Census {
     /// Realizes the census as a concrete `M(DBL)_2` multigraph whose nodes
     /// play exactly these histories over rounds `0..depth`.
     ///
+    /// Nodes come in ternary-index order, as in [`Census::to_histories`];
+    /// each round's label sets are written straight from the digits of
+    /// the census index (round `depth - 1` reads the least significant
+    /// digit), without a per-node history.
+    ///
     /// # Errors
     ///
     /// Returns [`CensusError::NoNodes`] for an all-zero census; multigraph
     /// construction itself cannot fail for valid censuses.
     pub fn realize(&self) -> Result<DblMultigraph, CensusError> {
-        let histories = self.to_histories();
-        if histories.is_empty() {
+        let nodes = usize::try_from(self.population()).unwrap_or(0);
+        if nodes == 0 {
             return Err(CensusError::NoNodes);
         }
-        DblMultigraph::from_histories(2, &histories)
+        let mut rounds: Vec<Vec<LabelSet>> =
+            (0..self.depth).map(|_| Vec::with_capacity(nodes)).collect();
+        for (i, &c) in self.counts.iter().enumerate() {
+            let copies = usize::try_from(c).unwrap_or(0);
+            if copies == 0 {
+                continue;
+            }
+            let mut rest = i;
+            for round in rounds.iter_mut().rev() {
+                let set = LabelSet::from_ternary_digit(rest % 3);
+                round.extend(std::iter::repeat_n(set, copies));
+                rest /= 3;
+            }
+        }
+        DblMultigraph::new(2, rounds)
             .map_err(|e: DblError| unreachable!("valid census must realize: {e}"))
     }
 }
@@ -284,6 +304,25 @@ mod tests {
         // Node histories: two [{1}] then one [{1,2}].
         assert_eq!(m.label_set(0, 0), LabelSet::L1);
         assert_eq!(m.label_set(0, 2), LabelSet::L12);
+    }
+
+    #[test]
+    fn realize_matches_the_per_node_history_build_on_twins() {
+        use crate::adversary::{SurplusPlacement, TwinBuilder};
+        for placement in [SurplusPlacement::FirstNegative, SurplusPlacement::Spread] {
+            let builder = TwinBuilder::new().with_placement(placement);
+            for n in [1u64, 2, 4, 13, 40, 121, 364, 1093] {
+                let smaller = builder.smaller_census(n).unwrap();
+                let larger = smaller
+                    .shift(1, &kernel_vector(smaller.depth() - 1))
+                    .unwrap();
+                for census in [smaller, larger] {
+                    let reference =
+                        DblMultigraph::from_histories(2, &census.to_histories()).unwrap();
+                    assert_eq!(census.realize().unwrap(), reference, "n={n} {placement:?}");
+                }
+            }
+        }
     }
 
     #[test]
