@@ -17,16 +17,27 @@
 //!   run to [`Verdict::Undecided`] — never a count the remaining rounds
 //!   were not there to confirm.
 //!
-//! [`ExecutionSource`] adapts an in-memory (possibly faulted) execution
-//! to the trait. The in-memory runners
-//! [`kernel_verdict`](crate::verdict::kernel_verdict) /
-//! [`history_tree_verdict`](crate::verdict::history_tree_verdict) drive
-//! their sessions over it, so a socketed run and its in-memory oracle
-//! share the loop itself, which is what lets `exp_net` byte-compare
-//! their verdicts.
+//! Two in-memory sources implement the trait:
+//!
+//! * [`FaultedRounds`] — the fault-injected simulator as a round-local
+//!   stepper. The in-memory runners
+//!   ([`kernel_verdict`](crate::verdict::kernel_verdict),
+//!   [`history_tree_verdict`](crate::verdict::history_tree_verdict),
+//!   [`general_k_verdict`](crate::verdict::general_k_verdict), both
+//!   arms) pull their rounds from it, so round `r` is simulated only
+//!   when the session asks for it and a session that stops early never
+//!   pays for the rounds it did not read. A socketed run and its
+//!   in-memory oracle share the session loop itself, which is what lets
+//!   `exp_net` byte-compare their verdicts.
+//! * [`ExecutionSource`] — the adapter for an execution that is already
+//!   stored (a recorded or hand-built [`Execution`], or a
+//!   [`FaultedExecution`] from
+//!   [`simulate_with_faults`](crate::verdict::simulate_with_faults)).
+//!   Tests use it as the eager oracle the lazy stepper is compared
+//!   against.
 
 use crate::verdict::{FaultPlan, GuardedHistoryTreeSession, GuardedKernelSession, Verdict};
-use anonet_multigraph::faults::FaultedExecution;
+use anonet_multigraph::faults::{FaultedExecution, FaultedRounds};
 use anonet_multigraph::simulate::Execution;
 use anonet_multigraph::{HistoryArena, RoundColumns};
 use anonet_trace::{NullSink, TraceSink};
@@ -153,9 +164,23 @@ pub fn run_source_verdict_with_sink<T: RoundSource, S: TraceSink>(
     }
 }
 
-/// [`RoundSource`] over an in-memory execution: yields each stored
-/// round in order, moving it out of the execution, then `Ok(None)`.
-/// The reference implementation the socketed leader is tested against.
+/// The fault-injected simulator as a [`RoundSource`]: each round is
+/// simulated on demand, and the stream ends after the stepper's round
+/// budget. Never fails.
+impl RoundSource for FaultedRounds<'_> {
+    fn arena(&self) -> &HistoryArena {
+        FaultedRounds::arena(self)
+    }
+
+    fn next_round(&mut self) -> Result<Option<RoundColumns>, TransportError> {
+        Ok(FaultedRounds::next_round(self))
+    }
+}
+
+/// [`RoundSource`] over a stored execution: yields each round in order,
+/// moving it out of the execution, then `Ok(None)`. The adapter for
+/// recorded executions, and the eager oracle that the lazy
+/// [`FaultedRounds`] path and the socketed leader are tested against.
 #[derive(Debug, Clone)]
 pub struct ExecutionSource {
     execution: Execution,

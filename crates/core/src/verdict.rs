@@ -41,6 +41,13 @@
 //! session and loop serve every transport
 //! ([`run_source_verdict`](crate::transport::run_source_verdict)).
 //!
+//! The multigraph runners read their rounds lazily: each one is a
+//! `*_source_verdict` runner ([`kernel_source_verdict`],
+//! [`history_tree_source_verdict`], [`general_k_source_verdict`]) over
+//! a [`FaultedRounds`] stepper, which simulates round `r` only when the
+//! runner asks for it. A session that stops at its first decision,
+//! violation or error never simulates a later round.
+//!
 //! The multigraph runners are traced: `*_with_sink` variants emit the
 //! same per-round [`RoundEvent`]s as the plain algorithms, plus the new
 //! `fault` facet on rounds a fault struck and a final `violation` event
@@ -73,7 +80,7 @@ use crate::algorithms::{run_degree_oracle, run_pd2_view_counting, CountingError,
 use crate::baselines::enumeration::run_enumeration_counting;
 use crate::baselines::mass_drain::run_mass_drain;
 use crate::baselines::pushsum::run_pushsum;
-use crate::transport::{ExecutionSource, RoundSource};
+use crate::transport::RoundSource;
 use anonet_graph::faults::FaultyNetwork;
 use anonet_graph::{check_interval_connectivity, DynamicNetwork, Graph, GraphSequence};
 use anonet_multigraph::history_tree::{HistoryTreeError, HistoryTreeLeader};
@@ -88,7 +95,8 @@ use anonet_trace::{NullSink, RoundEvent, TraceSink};
 
 pub use anonet_multigraph::faults::{
     simulate_with_faults, thin_multigraph, FaultEvent, FaultKind, FaultPlan, FaultRecord,
-    FaultedExecution, Verdict, Violation, ViolationKind, WatchedLeader, WatchedRound,
+    FaultedExecution, FaultedRounds, Verdict, Violation, ViolationKind, WatchedLeader,
+    WatchedRound,
 };
 
 /// The growth of the flat constant-terms vector `m_r` at `level`
@@ -103,8 +111,12 @@ fn level_state_growth(level: u32) -> u64 {
 /// Runs the kernel counting algorithm on `m` under `plan` and reduces
 /// the run to a [`Verdict`].
 ///
+/// The rounds come from a [`FaultedRounds`] stepper, which simulates
+/// each round only when the leader asks for it: a run that stops early
+/// never pays for the rounds it did not read.
+///
 /// With `watchdogs = true` the leader is a [`GuardedKernelSession`]
-/// driven over the execution: every round passes the
+/// driven over those rounds: every round passes the
 /// [`WatchedLeader`]'s model watchdogs, the decision is provisional
 /// and confirmed through the horizon (a fault striking exactly the
 /// decision round can leave the observation system coincidentally
@@ -131,12 +143,30 @@ pub fn kernel_verdict_with_sink<S: TraceSink>(
     watchdogs: bool,
     sink: &mut S,
 ) -> Verdict {
-    let faulted = simulate_with_faults(m, max_rounds as usize, plan);
+    let mut rounds = FaultedRounds::new(m, max_rounds as usize, plan);
+    kernel_source_verdict(&mut rounds, max_rounds, plan, watchdogs, sink)
+}
+
+/// [`kernel_verdict_with_sink`] over rounds from any [`RoundSource`]:
+/// at most `max_rounds` rounds are pulled, and none after the run ends.
+///
+/// The in-memory runner passes a [`FaultedRounds`] stepper, so a session
+/// that stops early never simulates the rounds it did not read. `plan`
+/// carries the leader-side schedule (restarts, trace facets); delivery
+/// faults are already inside the rounds. A
+/// [`TransportError`](crate::transport::TransportError) ends the run as
+/// [`Verdict::Undecided`] in both arms.
+pub fn kernel_source_verdict<T: RoundSource + ?Sized, S: TraceSink>(
+    source: &mut T,
+    max_rounds: u32,
+    plan: &FaultPlan,
+    watchdogs: bool,
+    sink: &mut S,
+) -> Verdict {
     if watchdogs {
-        let mut source = ExecutionSource::from_faulted(faulted);
-        GuardedKernelSession::new().drive(&mut source, max_rounds, plan, sink)
+        GuardedKernelSession::new().drive(source, max_rounds, plan, sink)
     } else {
-        kernel_unguarded(&faulted, max_rounds, plan, sink)
+        kernel_unguarded(source, max_rounds, plan, sink)
     }
 }
 
@@ -394,31 +424,29 @@ impl Guard for KernelGuard {
     }
 }
 
-fn kernel_unguarded<S: TraceSink>(
-    faulted: &FaultedExecution,
+fn kernel_unguarded<T: RoundSource + ?Sized, S: TraceSink>(
+    source: &mut T,
     max_rounds: u32,
     plan: &FaultPlan,
     sink: &mut S,
 ) -> Verdict {
     let mut leader = OnlineLeader::new();
     let mut state_size = 0u64;
-    for (r, round) in faulted.execution.rounds.iter().enumerate() {
-        let r32 = r as u32;
+    for r32 in 0..max_rounds {
+        let round = match source.next_round() {
+            Ok(Some(round)) => round,
+            Ok(None) => break,
+            Err(_) => return undecided(r32, leader.candidates(), sink),
+        };
         if plan.has_restart_at(r32) {
             // State loss: the unguarded leader starts over, oblivious.
             leader = OnlineLeader::new();
             state_size = 0;
         }
-        match leader.ingest(&faulted.execution.arena, round) {
+        match leader.ingest(source.arena(), &round) {
             // The unguarded leader of PR 1 would have panicked here; the
             // typed error path surfaces as a decision-less horizon.
-            Err(_) => {
-                sink.flush();
-                return Verdict::Undecided {
-                    rounds: r32 + 1,
-                    candidates: None,
-                };
-            }
+            Err(_) => return undecided(r32 + 1, None, sink),
             Ok(decision) => {
                 state_size = state_size.saturating_add(level_state_growth(leader.rounds() as u32 - 1));
                 let Ok(sol) = leader.solve() else {
@@ -445,11 +473,7 @@ fn kernel_unguarded<S: TraceSink>(
             }
         }
     }
-    sink.flush();
-    Verdict::Undecided {
-        rounds: max_rounds,
-        candidates: leader.candidates(),
-    }
+    undecided(max_rounds, leader.candidates(), sink)
 }
 
 /// Runs the history-tree counting algorithm on `m` under `plan` and
@@ -503,12 +527,24 @@ pub fn history_tree_verdict_with_sink<S: TraceSink>(
     watchdogs: bool,
     sink: &mut S,
 ) -> Verdict {
-    let faulted = simulate_with_faults(m, max_rounds as usize, plan);
+    let mut rounds = FaultedRounds::new(m, max_rounds as usize, plan);
+    history_tree_source_verdict(&mut rounds, max_rounds, plan, watchdogs, sink)
+}
+
+/// [`history_tree_verdict_with_sink`] over rounds from any
+/// [`RoundSource`], pulled lazily exactly as in
+/// [`kernel_source_verdict`].
+pub fn history_tree_source_verdict<T: RoundSource + ?Sized, S: TraceSink>(
+    source: &mut T,
+    max_rounds: u32,
+    plan: &FaultPlan,
+    watchdogs: bool,
+    sink: &mut S,
+) -> Verdict {
     if watchdogs {
-        let mut source = ExecutionSource::from_faulted(faulted);
-        GuardedHistoryTreeSession::new().drive(&mut source, max_rounds, plan, sink)
+        GuardedHistoryTreeSession::new().drive(source, max_rounds, plan, sink)
     } else {
-        history_tree_unguarded(&faulted, max_rounds, plan, sink)
+        history_tree_unguarded(source, max_rounds, plan, sink)
     }
 }
 
@@ -620,29 +656,26 @@ impl Guard for HistoryTreeGuard {
     }
 }
 
-fn history_tree_unguarded<S: TraceSink>(
-    faulted: &FaultedExecution,
+fn history_tree_unguarded<T: RoundSource + ?Sized, S: TraceSink>(
+    source: &mut T,
     max_rounds: u32,
     plan: &FaultPlan,
     sink: &mut S,
 ) -> Verdict {
-    let arena = &faulted.execution.arena;
     let mut leader = HistoryTreeLeader::new();
-    for (r, round) in faulted.execution.rounds.iter().enumerate() {
-        let r32 = r as u32;
+    for r32 in 0..max_rounds {
+        let round = match source.next_round() {
+            Ok(Some(round)) => round,
+            Ok(None) => break,
+            Err(_) => return undecided(r32, leader.candidates(), sink),
+        };
         if plan.has_restart_at(r32) {
             // State loss: the unguarded leader starts over, oblivious.
             leader = HistoryTreeLeader::new();
         }
-        match leader.ingest(arena, round) {
+        match leader.ingest(source.arena(), &round) {
             // Typed error path: a decision-less horizon, never a panic.
-            Err(_) => {
-                sink.flush();
-                return Verdict::Undecided {
-                    rounds: r32 + 1,
-                    candidates: None,
-                };
-            }
+            Err(_) => return undecided(r32 + 1, None, sink),
             Ok(step) => {
                 let (lo, hi) = leader.candidates().unwrap_or((0, i64::MAX));
                 let mut ev = RoundEvent::new(r32)
@@ -665,11 +698,7 @@ fn history_tree_unguarded<S: TraceSink>(
             }
         }
     }
-    sink.flush();
-    Verdict::Undecided {
-        rounds: max_rounds,
-        candidates: leader.candidates(),
-    }
+    undecided(max_rounds, leader.candidates(), sink)
 }
 
 /// Runs the exhaustive general-`k` counting rule (`k = 2` executions)
@@ -731,19 +760,38 @@ pub fn general_k_verdict_with_sink<S: TraceSink>(
     sink: &mut S,
 ) -> Verdict {
     assert_eq!(m.k(), 2, "fault injection replays M(DBL)_2 executions");
+    let mut rounds = FaultedRounds::new(m, max_rounds as usize, plan);
+    general_k_source_verdict(&mut rounds, max_rounds, max_solutions, plan, watchdogs, sink)
+}
+
+/// [`general_k_verdict_with_sink`] over `k = 2` rounds from any
+/// [`RoundSource`], pulled lazily exactly as in
+/// [`kernel_source_verdict`]: the unguarded rule stops pulling at its
+/// first decision, the guarded rule confirms through `max_rounds`.
+pub fn general_k_source_verdict<T: RoundSource + ?Sized, S: TraceSink>(
+    source: &mut T,
+    max_rounds: u32,
+    max_solutions: usize,
+    plan: &FaultPlan,
+    watchdogs: bool,
+    sink: &mut S,
+) -> Verdict {
     let Ok(sys) = GeneralSystem::new(2) else {
         return Verdict::Undecided {
             rounds: 0,
             candidates: None,
         };
     };
-    let faulted = simulate_with_faults(m, max_rounds as usize, plan);
     let mut verifier = Some(sys.observation_kernel());
     let mut rhs: Vec<i64> = Vec::new();
     let mut prev_range: Option<(i64, i64)> = None;
     let mut decided: Option<(u64, u32)> = None;
-    for (r, round) in faulted.execution.rounds.iter().enumerate() {
-        let r32 = r as u32;
+    for r32 in 0..max_rounds {
+        let round = match source.next_round() {
+            Ok(Some(round)) => round,
+            Ok(None) => break,
+            Err(_) => return undecided(r32, prev_range, sink),
+        };
         if watchdogs && plan.has_restart_at(r32) {
             // The restarted leader re-observes from an empty system; its
             // first post-restart round then carries histories of the
@@ -781,9 +829,10 @@ pub fn general_k_verdict_with_sink<S: TraceSink>(
         let mut al = vec![0i64; width];
         let mut bl = vec![0i64; width];
         let mut integrity_ok = true;
-        for d in round {
-            let len_ok = faulted.execution.arena.history_len(d.state) == level;
-            let idx = faulted.execution.arena.checked_ternary_index(d.state);
+        let arena = source.arena();
+        for d in &round {
+            let len_ok = arena.history_len(d.state) == level;
+            let idx = arena.checked_ternary_index(d.state);
             match (len_ok, idx, d.label) {
                 (true, Some(i), 1) => al[i] += 1,
                 (true, Some(i), 2) => bl[i] += 1,
@@ -794,11 +843,7 @@ pub fn general_k_verdict_with_sink<S: TraceSink>(
             if watchdogs {
                 return violation_verdict(ViolationKind::DeliveryIntegrity, r32, plan, sink);
             }
-            sink.flush();
-            return Verdict::Undecided {
-                rounds: r32 + 1,
-                candidates: None,
-            };
+            return undecided(r32 + 1, None, sink);
         }
         if watchdogs {
             let dcount = round.len() as i64;
@@ -815,13 +860,7 @@ pub fn general_k_verdict_with_sink<S: TraceSink>(
         {
             Ok(pops) => pops,
             // Enumeration budget or size limits — not a model violation.
-            Err(_) => {
-                sink.flush();
-                return Verdict::Undecided {
-                    rounds: r32 + 1,
-                    candidates: prev_range,
-                };
-            }
+            Err(_) => return undecided(r32 + 1, prev_range, sink),
         };
         verifier = verifier.filter(|_| {
             sys.q()
@@ -905,6 +944,12 @@ fn levels_of(rhs: &[i64]) -> usize {
         used = next;
         level += 1;
     }
+}
+
+/// Ends a run without a decision after `rounds` rounds.
+fn undecided<S: TraceSink>(rounds: u32, candidates: Option<(i64, i64)>, sink: &mut S) -> Verdict {
+    sink.flush();
+    Verdict::Undecided { rounds, candidates }
 }
 
 fn violation_verdict<S: TraceSink>(

@@ -14,12 +14,20 @@
 //!    into `Verdict::ModelViolation` instead of a wrong count. A
 //!    proptest over seeded plans pins the guarded kernel runner's
 //!    fail-closed contract: a count, when reported, is the true one.
+//! 3. **Lazy/eager parity** — every multigraph runner, in both arms,
+//!    reports the same verdict and the same JSONL trace whether it pulls
+//!    its rounds from the lazy `FaultedRounds` stepper or from an
+//!    execution simulated in full beforehand, and both equal digests
+//!    taken from the eager runners this stepper replaced.
 
 use anonet_core::algorithms::{GeneralKCounting, KernelCounting};
 use anonet_core::trace::{MemorySink, RoundEvent};
+use anonet_core::transport::ExecutionSource;
 use anonet_core::verdict::{
-    general_k_verdict_with_sink, kernel_verdict, kernel_verdict_with_sink, thin_multigraph,
-    FaultPlan, Verdict, ViolationKind,
+    general_k_source_verdict, general_k_verdict_with_sink, history_tree_source_verdict,
+    history_tree_verdict_with_sink, kernel_source_verdict, kernel_verdict, kernel_verdict_with_sink,
+    simulate_with_faults, thin_multigraph, FaultPlan, Verdict, ViolationKind,
+    SEARCH_GENERAL_K_BUDGET,
 };
 use anonet_multigraph::adversary::TwinBuilder;
 use anonet_multigraph::{Census, DblMultigraph};
@@ -250,6 +258,107 @@ fn thinning_stays_in_model() {
     // it exactly (possibly in more rounds).
     let verdict = run_watched(&thinned, 16, &FaultPlan::new());
     assert_eq!(verdict.count(), Some(13));
+}
+
+/// 64-bit FNV-1a, folded over successive strings.
+fn fnv(hash: &mut u64, text: &str) {
+    for b in text.bytes() {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The multigraph runners whose rounds come from the fault simulator.
+#[derive(Debug, Clone, Copy)]
+enum Runner {
+    Kernel,
+    HistoryTree,
+    GeneralK,
+}
+
+impl Runner {
+    /// The runner over the lazy stepper (its public `m`-taking entry).
+    fn lazy(self, m: &DblMultigraph, rounds: u32, plan: &FaultPlan, watchdogs: bool) -> String {
+        let mut sink = MemorySink::new();
+        let v = match self {
+            Runner::Kernel => kernel_verdict_with_sink(m, rounds, plan, watchdogs, &mut sink),
+            Runner::HistoryTree => {
+                history_tree_verdict_with_sink(m, rounds, plan, watchdogs, &mut sink)
+            }
+            Runner::GeneralK => general_k_verdict_with_sink(
+                m,
+                rounds,
+                SEARCH_GENERAL_K_BUDGET,
+                plan,
+                watchdogs,
+                &mut sink,
+            ),
+        };
+        format!("{v:?}\n{}", jsonl(sink.events()))
+    }
+
+    /// The same runner over an execution simulated in full first.
+    fn eager(self, m: &DblMultigraph, rounds: u32, plan: &FaultPlan, watchdogs: bool) -> String {
+        let mut src = ExecutionSource::from_faulted(simulate_with_faults(m, rounds as usize, plan));
+        let mut sink = MemorySink::new();
+        let v = match self {
+            Runner::Kernel => kernel_source_verdict(&mut src, rounds, plan, watchdogs, &mut sink),
+            Runner::HistoryTree => {
+                history_tree_source_verdict(&mut src, rounds, plan, watchdogs, &mut sink)
+            }
+            Runner::GeneralK => general_k_source_verdict(
+                &mut src,
+                rounds,
+                SEARCH_GENERAL_K_BUDGET,
+                plan,
+                watchdogs,
+                &mut sink,
+            ),
+        };
+        format!("{v:?}\n{}", jsonl(sink.events()))
+    }
+}
+
+#[test]
+fn lazy_runners_match_the_eager_path_byte_for_byte() {
+    // Per twin: digests of `Debug(verdict) + JSONL trace` for the
+    // kernel, history-tree and general-k runners over 30 seeded plans
+    // and both arms, computed with the runners that simulated the whole
+    // budget before reading round 0. General-k stops at n = 40: its
+    // census enumeration alone takes seconds per session at n = 364.
+    const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let golden = [
+        (4u64, [0x5008_2545_3460_e36fu64, 0x11ee_3371_6bcd_eee2, 0x3405_4ca1_17a2_8499]),
+        (13, [0x7d92_375a_6bb8_a4b0, 0xf801_1b57_78e6_3235, 0xc45c_b812_0cad_7b59]),
+        (40, [0x26af_2844_c328_ce4c, 0x6f6b_701a_c55b_c3f1, 0x0e30_0529_4455_0a1a]),
+        (364, [0x79ab_0e49_3e57_42e2, 0xc8cf_9f57_253b_d781, FNV_BASIS]),
+    ];
+    let runners = [Runner::Kernel, Runner::HistoryTree, Runner::GeneralK];
+    for (n, expected) in golden {
+        let pair = TwinBuilder::new().build(n).unwrap();
+        let budget = pair.horizon + 4;
+        let mut digests = [FNV_BASIS; 3];
+        for seed in 0..30u64 {
+            let plan = FaultPlan::seeded(seed, budget, 1 + (seed % 3) as u32);
+            for watchdogs in [true, false] {
+                for (runner, digest) in runners.iter().zip(&mut digests) {
+                    if matches!(runner, Runner::GeneralK) && n > 40 {
+                        continue;
+                    }
+                    let lazy = runner.lazy(&pair.smaller, budget, &plan, watchdogs);
+                    let eager = runner.eager(&pair.smaller, budget, &plan, watchdogs);
+                    assert_eq!(
+                        lazy, eager,
+                        "{runner:?} n={n} seed={seed} watchdogs={watchdogs}"
+                    );
+                    fnv(digest, &lazy);
+                }
+            }
+        }
+        for ((runner, digest), expected) in runners.iter().zip(digests).zip(expected) {
+            assert_eq!(digest, expected, "{runner:?} n={n}: digest {digest:#018x}");
+        }
+    }
 }
 
 proptest! {

@@ -14,12 +14,15 @@
 //!   ([`FaultKind`]): per-round delivery drops, duplicated deliveries,
 //!   permanent node crashes, leader restarts with state loss, and
 //!   connectivity-violating rounds.
-//! * [`simulate_with_faults`] — the message-passing protocol of
+//! * [`FaultedRounds`] — the message-passing protocol of
 //!   [`simulate`](crate::simulate::simulate) with the plan applied
-//!   inside the delivery loop. An **empty plan is a strict no-op**: the
-//!   loop body is identical, so the produced [`Execution`] (and every
-//!   trace derived from it) is byte-identical to the unfaulted
-//!   simulator — a property test pins this across seeds.
+//!   inside the delivery loop, one round per call, so a reader that
+//!   stops early never simulates the rounds it does not read.
+//!   [`simulate_with_faults`] collects every round of it into an
+//!   [`Execution`]. An **empty plan is a strict no-op**: the loop body
+//!   is identical, so the produced execution (and every trace derived
+//!   from it) is byte-identical to the unfaulted simulator — a property
+//!   test pins this across seeds.
 //! * [`WatchedLeader`] — the online counting leader wrapped in three
 //!   runtime **model watchdogs** (delivery integrity, 1-interval
 //!   connectivity, census conservation) plus a depth guard. In-model
@@ -321,7 +324,10 @@ pub struct FaultedExecution {
 }
 
 /// Runs the [`simulate`](crate::simulate::simulate) protocol on `m` for
-/// `rounds` rounds with `plan`'s faults applied inside the delivery loop.
+/// `rounds` rounds with `plan`'s faults applied inside the delivery loop:
+/// every round of a [`FaultedRounds`] stepper collected, then the last
+/// round's receive phase, so the arena holds the histories after round
+/// `rounds - 1` exactly as [`simulate`](crate::simulate::simulate)'s does.
 ///
 /// Fault semantics, per round:
 ///
@@ -346,31 +352,96 @@ pub fn simulate_with_faults(
     rounds: usize,
     plan: &FaultPlan,
 ) -> FaultedExecution {
-    simulate_with_faults_threaded(m, rounds, plan, 1)
+    let mut stepper = FaultedRounds::new(m, rounds, plan);
+    let mut out = Vec::with_capacity(rounds);
+    while let Some(deliveries) = stepper.next_round() {
+        out.push(deliveries);
+    }
+    let (arena, records) = stepper.finish();
+    FaultedExecution {
+        execution: Execution { arena, rounds: out },
+        records,
+    }
 }
 
-/// [`simulate_with_faults`] with the node-parallel phases of the round
-/// step run on up to `threads` workers (0 acts as 1) — byte-identical at
-/// every thread count, exactly like
-/// [`simulate_threaded`](crate::simulate::simulate_threaded). Faults
-/// perturb the emitted columns *between* the engine's emit and advance
-/// phases, so the perturbation itself is always serial and
-/// deterministic.
-pub fn simulate_with_faults_threaded(
-    m: &DblMultigraph,
+/// The fault-injected protocol of [`simulate_with_faults`] one round at
+/// a time: the leader's observations are produced only when asked for.
+///
+/// [`next_round`](Self::next_round) runs, for round `r` and in order:
+/// the receive phase of round `r - 1` (deferred from the previous call),
+/// the crashes striking `r`, the broadcast of round `r`, and the
+/// disconnect, drop and duplicate perturbations of `r`. A reader that
+/// stops after round `r` therefore never pays for the receive phase of
+/// round `r` or for anything later — with `3^r` possible histories per
+/// round, the late rounds are the costly ones.
+///
+/// The engine calls run in exactly the order of the eager loop, so the
+/// first `r` rounds, the records of rounds `< r` and (after
+/// [`finish`](Self::finish)) the arena equal those of
+/// `simulate_with_faults(m, r, plan)` — property-tested.
+///
+/// # Examples
+///
+/// ```
+/// use anonet_multigraph::adversary::TwinBuilder;
+/// use anonet_multigraph::faults::{simulate_with_faults, FaultPlan, FaultedRounds};
+///
+/// let pair = TwinBuilder::new().build(13)?;
+/// let plan = FaultPlan::new().disconnect(1);
+/// let mut rounds = FaultedRounds::new(&pair.smaller, 6, &plan);
+/// let first = rounds.next_round().expect("round 0 is within the budget");
+/// let eager = simulate_with_faults(&pair.smaller, 6, &plan);
+/// assert_eq!(first.len(), eager.execution.rounds[0].len());
+/// assert_eq!(rounds.next_round().map(|r| r.len()), Some(0), "disconnected");
+/// let (_, records) = rounds.finish();
+/// assert_eq!(records, eager.records);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct FaultedRounds<'a> {
+    m: &'a DblMultigraph,
+    plan: &'a FaultPlan,
+    engine: RoundEngine,
     rounds: usize,
-    plan: &FaultPlan,
-    threads: usize,
-) -> FaultedExecution {
-    let mut engine = RoundEngine::with_threads(m.nodes(), m.k(), threads);
-    let mut out = Vec::with_capacity(rounds);
-    let mut records = Vec::new();
-    for r in 0..rounds {
+    next: usize,
+    records: Vec<FaultRecord>,
+}
+
+impl<'a> FaultedRounds<'a> {
+    /// A stepper over rounds `0..rounds` of `m` under `plan`, before its
+    /// first round.
+    pub fn new(m: &'a DblMultigraph, rounds: usize, plan: &'a FaultPlan) -> FaultedRounds<'a> {
+        FaultedRounds {
+            m,
+            plan,
+            engine: RoundEngine::new(m.nodes(), m.k()),
+            rounds,
+            next: 0,
+            records: Vec::new(),
+        }
+    }
+
+    /// The arena interning every history delivered so far.
+    pub fn arena(&self) -> &HistoryArena {
+        self.engine.arena()
+    }
+
+    /// Produces the next round's (perturbed) deliveries in canonical
+    /// order, or `None` once the `rounds` budget is spent.
+    pub fn next_round(&mut self) -> Option<RoundColumns> {
+        let r = self.next;
+        if r >= self.rounds {
+            return None;
+        }
+        let (m, plan, engine) = (self.m, self.plan, &mut self.engine);
+        if r > 0 {
+            engine.advance(m, r - 1);
+        }
         let r32 = u32::try_from(r).unwrap_or(u32::MAX);
         // Crashes act at max(round, 1): every node completes round 0.
         for ev in plan.events().iter().filter(|e| e.round.max(1) == r32) {
             if let FaultKind::CrashNodes { count } = ev.kind {
-                records.push(FaultRecord {
+                self.records.push(FaultRecord {
                     round: r32,
                     kind: ev.kind,
                     affected: engine.crash_highest(count),
@@ -380,24 +451,17 @@ pub fn simulate_with_faults_threaded(
         let mut deliveries = RoundColumns::with_capacity(m.edge_count(r));
         engine.emit_round(m, r, &mut deliveries);
         for ev in plan.events_at(r32) {
-            match ev.kind {
+            let affected = match ev.kind {
                 FaultKind::Disconnect => {
-                    records.push(FaultRecord {
-                        round: r32,
-                        kind: ev.kind,
-                        affected: deliveries.len() as u64,
-                    });
+                    let suppressed = deliveries.len();
                     deliveries.clear();
+                    suppressed
                 }
                 FaultKind::DropDeliveries { stride, offset } => {
                     let stride = stride.max(1) as usize;
                     let before = deliveries.len();
                     deliveries.retain_indexed(|i| i % stride != (offset as usize) % stride);
-                    records.push(FaultRecord {
-                        round: r32,
-                        kind: ev.kind,
-                        affected: (before - deliveries.len()) as u64,
-                    });
+                    before - deliveries.len()
                 }
                 FaultKind::DuplicateDeliveries { stride, offset } => {
                     let stride = stride.max(1) as usize;
@@ -407,35 +471,33 @@ pub fn simulate_with_faults_threaded(
                         .filter(|(i, _)| i % stride == (offset as usize) % stride)
                         .map(|(_, d)| d)
                         .collect();
-                    records.push(FaultRecord {
-                        round: r32,
-                        kind: ev.kind,
-                        affected: dups.len() as u64,
-                    });
-                    for d in dups {
+                    for d in &dups {
                         deliveries.push(d.label, d.state);
                     }
                     deliveries.canonical_sort(engine.arena());
+                    dups.len()
                 }
-                FaultKind::LeaderRestart => {
-                    records.push(FaultRecord {
-                        round: r32,
-                        kind: ev.kind,
-                        affected: 0,
-                    });
-                }
-                FaultKind::CrashNodes { .. } => {} // applied above
-            }
+                FaultKind::LeaderRestart => 0,
+                FaultKind::CrashNodes { .. } => continue, // applied above
+            };
+            self.records.push(FaultRecord {
+                round: r32,
+                kind: ev.kind,
+                affected: affected as u64,
+            });
         }
-        out.push(deliveries);
-        engine.advance(m, r);
+        self.next = r + 1;
+        Some(deliveries)
     }
-    FaultedExecution {
-        execution: Execution {
-            arena: engine.into_arena(),
-            rounds: out,
-        },
-        records,
+
+    /// Runs the receive phase of the last produced round and returns the
+    /// arena and the fault log — the `arena` and `records` that
+    /// [`simulate_with_faults`] over the rounds produced so far returns.
+    pub fn finish(mut self) -> (HistoryArena, Vec<FaultRecord>) {
+        if self.next > 0 {
+            self.engine.advance(self.m, self.next - 1);
+        }
+        (self.engine.into_arena(), self.records)
     }
 }
 

@@ -6,15 +6,23 @@
 //! arbitrary multigraphs, adversary seeds and horizons. Every trace in
 //! the workspace is a pure function of the execution, so this single
 //! equality pins the empty-plan byte-identity of all downstream traces.
+//!
+//! The lazy stepper [`FaultedRounds`] is pinned against the eager
+//! [`simulate_with_faults`]: drained, it yields the same rounds, records
+//! and arena; stopped after `r` rounds, it yields exactly the eager
+//! prefix. A fixed-seed digest pins `simulate_with_faults` itself to the
+//! output of the eager loop it replaced.
 
 use anonet_multigraph::adversary::RandomDblAdversary;
 use anonet_multigraph::corpus::ArchivedSchedule;
+use anonet_multigraph::adversary::TwinBuilder;
 use anonet_multigraph::faults::{
-    simulate_with_faults, FaultEvent, FaultKind, FaultPlan, Verdict, ViolationKind,
+    simulate_with_faults, FaultEvent, FaultKind, FaultPlan, FaultedExecution, FaultedRounds,
+    Verdict, ViolationKind,
 };
 use anonet_multigraph::mutate::AdversarySchedule;
 use anonet_multigraph::simulate::simulate;
-use anonet_multigraph::{DblMultigraph, LabelSet};
+use anonet_multigraph::{DblMultigraph, HistoryArena, LabelSet, RoundColumns};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,6 +85,76 @@ fn arb_schedule() -> impl Strategy<Value = AdversarySchedule> {
         arb_plan(nodes, horizon)
             .prop_map(move |plan| AdversarySchedule::new(rows.clone(), plan, horizon).unwrap())
     })
+}
+
+/// A multigraph, a horizon of 1 to 7 rounds (past the explicit prefix
+/// the last row repeats) and an in-bounds fault plan over that horizon.
+fn arb_faulted_run() -> impl Strategy<Value = (DblMultigraph, usize, FaultPlan)> {
+    (arb_multigraph(), 1usize..8).prop_flat_map(|(m, horizon)| {
+        let nodes = m.nodes() as u32;
+        arb_plan(nodes, horizon as u32).prop_map(move |plan| (m.clone(), horizon, plan))
+    })
+}
+
+/// The raw columns of a round: labels and arena handles, not resolved
+/// histories, so two rounds compare equal only if their arenas were
+/// built in the same order.
+fn raw(round: &RoundColumns) -> (Vec<u8>, String) {
+    (round.labels().to_vec(), format!("{:?}", round.states()))
+}
+
+/// The arena's interned entries in handle order. Its child index is a
+/// hash map (its `Debug` order varies between maps) and is a function of
+/// the entries, so it is left out.
+fn entries(arena: &HistoryArena) -> String {
+    let debug = format!("{arena:?}");
+    match debug.find(", children:") {
+        Some(end) => debug[..end].to_string(),
+        None => debug,
+    }
+}
+
+fn raw_rounds(faulted: &FaultedExecution) -> Vec<(Vec<u8>, String)> {
+    faulted.execution.rounds.iter().map(raw).collect()
+}
+
+/// 64-bit FNV-1a, folded over successive strings.
+fn fnv(hash: &mut u64, text: &str) {
+    for b in text.bytes() {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+#[test]
+fn simulate_with_faults_matches_the_eager_loop_digest() {
+    // Digests of every round's raw columns, the fault records and the
+    // interned-history count over 30 seeded plans per twin, computed
+    // with the eager loop that simulated every round before the first
+    // one was read. The lazy stepper must reproduce them bit for bit.
+    let golden = [
+        (4u64, 0xe8e8_db73_d943_db91u64),
+        (13, 0x5c3e_f392_8dd6_16b0),
+        (40, 0xe492_f2aa_acbc_6c4b),
+        (364, 0x1676_bc4b_c9f2_4708),
+    ];
+    for (n, expected) in golden {
+        let pair = TwinBuilder::new().build(n).unwrap();
+        let budget = pair.horizon + 4;
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for seed in 0..30u64 {
+            let plan = FaultPlan::seeded(seed, budget, 1 + (seed % 3) as u32);
+            let f = simulate_with_faults(&pair.smaller, budget as usize, &plan);
+            for r in &f.execution.rounds {
+                fnv(&mut digest, &format!("{:?}{:?};", r.labels(), r.states()));
+            }
+            fnv(
+                &mut digest,
+                &format!("{:?}{};", f.records, f.execution.arena.interned()),
+            );
+        }
+        assert_eq!(digest, expected, "n={n}: digest {digest:#018x}");
+    }
 }
 
 fn arb_verdict() -> impl Strategy<Value = Verdict> {
@@ -157,6 +235,52 @@ proptest! {
             x.execution.arena.interned(),
             y.execution.arena.interned()
         );
+    }
+
+    #[test]
+    fn drained_stepper_equals_simulate_with_faults(
+        (m, horizon, plan) in arb_faulted_run(),
+    ) {
+        let eager = simulate_with_faults(&m, horizon, &plan);
+        let mut stepper = FaultedRounds::new(&m, horizon, &plan);
+        let mut rounds = Vec::new();
+        while let Some(round) = stepper.next_round() {
+            rounds.push(raw(&round));
+        }
+        prop_assert!(stepper.next_round().is_none(), "the budget is spent");
+        let (arena, records) = stepper.finish();
+        prop_assert_eq!(rounds, raw_rounds(&eager));
+        prop_assert_eq!(records, eager.records);
+        prop_assert_eq!(entries(&arena), entries(&eager.execution.arena));
+    }
+
+    #[test]
+    fn stopped_stepper_yields_the_eager_prefix(
+        (m, horizon, plan) in arb_faulted_run(),
+        stop in 0usize..8,
+    ) {
+        // A reader that stops after `r` rounds sees exactly the eager
+        // rounds `0..r` and the records of rounds below `r`; the arena
+        // it leaves is that of an eager run of `r` rounds.
+        let r = stop.min(horizon);
+        let eager = simulate_with_faults(&m, horizon, &plan);
+        let mut stepper = FaultedRounds::new(&m, horizon, &plan);
+        let mut rounds = Vec::new();
+        for _ in 0..r {
+            rounds.push(raw(&stepper.next_round().unwrap()));
+        }
+        let eager_rounds = raw_rounds(&eager);
+        prop_assert_eq!(&rounds[..], &eager_rounds[..r]);
+        let eager_records: Vec<_> = eager
+            .records
+            .iter()
+            .filter(|rec| (rec.round as usize) < r)
+            .copied()
+            .collect();
+        let (arena, records) = stepper.finish();
+        prop_assert_eq!(records, eager_records);
+        let short = simulate_with_faults(&m, r, &plan);
+        prop_assert_eq!(entries(&arena), entries(&short.execution.arena));
     }
 
     #[test]

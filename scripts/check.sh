@@ -104,6 +104,10 @@ if [[ $fast -eq 0 ]]; then
     "$cbin" --smoke --threads 4 --json --no-timings >"$cparallel"
     same_output "exp_crossover output differs between 1 and 4 threads" \
         "$cserial" "$cparallel" "$cserial" "$cparallel"
+    # The committed document pins every verdict and round column, so a
+    # runner change cannot move one silently.
+    same_output "exp_crossover --smoke differs from tests/golden/exp_crossover_smoke.json" \
+        tests/golden/exp_crossover_smoke.json "$cserial" "$cserial" "$cparallel"
     rm -f "$cserial" "$cparallel"
 
     echo "==> committed BENCH_crossover.json gates (exp_crossover --lint-bench: crossover cell, n >= 29524)"
@@ -128,6 +132,8 @@ if [[ $fast -eq 0 ]]; then
     "$fbin" --smoke --threads 4 --json --no-timings >"$fparallel"
     same_output "exp_faults output differs between 1 and 4 threads" \
         "$fserial" "$fparallel" "$fserial" "$fparallel"
+    same_output "exp_faults --smoke differs from tests/golden/exp_faults_smoke.json" \
+        tests/golden/exp_faults_smoke.json "$fserial" "$fserial" "$fparallel"
     rm -f "$fserial" "$fparallel"
 fi
 
