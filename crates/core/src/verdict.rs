@@ -641,9 +641,8 @@ impl Guard for HistoryTreeGuard {
                 return Err(ViolationKind::DeliveryIntegrity);
             }
             let resurrected = arena
-                .masks(d.state)
-                .iter()
-                .all(|&mask| mask == LabelSet::L12.mask());
+                .masks_rev(d.state)
+                .all(|mask| mask == LabelSet::L12.mask());
             if resurrected {
                 return Err(ViolationKind::CensusConservation);
             }

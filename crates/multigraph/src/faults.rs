@@ -338,8 +338,9 @@ pub struct FaultedExecution {
 ///    `(label, history)` order.
 /// 3. [`FaultKind::Disconnect`] then clears the round's deliveries;
 ///    [`FaultKind::DropDeliveries`] removes its residue class;
-///    [`FaultKind::DuplicateDeliveries`] re-adds its residue class and
-///    restores canonical order.
+///    [`FaultKind::DuplicateDeliveries`] inserts a copy of each
+///    delivery of its residue class right after the original, which
+///    keeps canonical order (identical pairs are adjacent in it).
 /// 4. [`FaultKind::LeaderRestart`] is recorded but applied by the
 ///    *leader* (see [`WatchedLeader::restart`]) — the network is not
 ///    affected.
@@ -465,17 +466,7 @@ impl<'a> FaultedRounds<'a> {
                 }
                 FaultKind::DuplicateDeliveries { stride, offset } => {
                     let stride = stride.max(1) as usize;
-                    let dups: Vec<_> = deliveries
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % stride == (offset as usize) % stride)
-                        .map(|(_, d)| d)
-                        .collect();
-                    for d in &dups {
-                        deliveries.push(d.label, d.state);
-                    }
-                    deliveries.canonical_sort(engine.arena());
-                    dups.len()
+                    deliveries.duplicate_indexed(|i| i % stride == (offset as usize) % stride)
                 }
                 FaultKind::LeaderRestart => 0,
                 FaultKind::CrashNodes { .. } => continue, // applied above

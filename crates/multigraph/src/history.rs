@@ -11,8 +11,31 @@
 //! `0..3^L` via [`History::ternary_index`]. The *sign* of a history — the
 //! parity of its `{1,2}` entries — is exactly the sign of the corresponding
 //! component of the paper's kernel vector `k_r` (Lemma 3).
+//!
+//! # The arena
+//!
+//! Simulations do not hold owned histories: a [`HistoryArena`] interns
+//! each distinct history once and hands out 4-byte [`HistoryId`]
+//! handles. As in Di Luna–Viglietta's history trees, a history is stored
+//! as a node of a tree rather than as a sequence: each entry is a
+//! fixed-size record of parent handle, last label-set mask, length,
+//! cached ternary index and sign. No entry owns heap memory, so
+//! interning a round's histories appends to one `Vec` and dropping an
+//! arena frees one allocation. The mask sequence is the parent chain:
+//! [`HistoryArena::masks`] collects it, and
+//! [`HistoryArena::cmp_canonical`] and [`HistoryArena::masks_rev`]
+//! compare histories by walking it, without allocating.
+//!
+//! Entries arrive one at a time through [`HistoryArena::child`], which
+//! deduplicates through a `(parent, mask)` hash index, or one level at a
+//! time through [`HistoryArena::intern_level`], which skips the index
+//! because its checks prove every pair new. `child` indexes the entries
+//! the bulk path added before its next lookup, so the arena stays
+//! hash-consed whichever path interned a history, and both push in call
+//! order, so handle values are the same either way.
 
 use crate::label::LabelSet;
+use core::cmp::Ordering;
 use core::fmt;
 use std::collections::HashMap;
 
@@ -264,17 +287,56 @@ impl HistoryId {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One interned history: a parent link plus the last round's label set,
+/// with the per-history caches. The entry is fixed-size (24 bytes) and
+/// owns no heap memory; the full mask sequence is the parent chain.
+#[derive(Debug, Clone, Copy)]
 struct HistoryEntry {
+    /// Cached [`History::ternary_index`]; meaningful only if `ternary_ok`.
+    ternary: usize,
     parent: HistoryId,
-    last: Option<LabelSet>,
-    /// Full label-set mask sequence: the canonical, arena-independent key.
-    masks: Vec<u32>,
-    /// Cached [`History::ternary_index`]; `None` if some set is not a
-    /// `k = 2` set or the index overflows `usize`.
-    ternary: Option<usize>,
-    /// Cached [`History::sign`]; `None` if some set is not a `k = 2` set.
-    sign: Option<i64>,
+    /// The last round's label-set mask; 0 (no set) for the empty history.
+    last: u32,
+    /// Number of recorded rounds.
+    len: u32,
+    /// Cached [`History::sign`] as `±1`; 0 if some set is not a `k = 2`
+    /// set.
+    sign: i8,
+    /// Whether every set is a `k = 2` set and the index fits `usize`.
+    ternary_ok: bool,
+}
+
+impl HistoryEntry {
+    /// The entry of the empty history.
+    const EMPTY: HistoryEntry = HistoryEntry {
+        ternary: 0,
+        parent: HistoryId::EMPTY,
+        last: 0,
+        len: 0,
+        sign: 1,
+        ternary_ok: true,
+    };
+
+    /// The entry of this history (handle `parent`) extended by `next`.
+    fn child(&self, parent: HistoryId, next: LabelSet) -> HistoryEntry {
+        let mask = next.mask();
+        let digit = (mask <= 0b11).then(|| next.ternary_digit());
+        let ternary = digit
+            .filter(|_| self.ternary_ok)
+            .and_then(|d| self.ternary.checked_mul(3)?.checked_add(d));
+        HistoryEntry {
+            ternary: ternary.unwrap_or(0),
+            parent,
+            last: mask,
+            len: self.len.checked_add(1).expect("history length exceeds u32"),
+            sign: match digit {
+                Some(2) => -self.sign,
+                Some(_) => self.sign,
+                None => 0,
+            },
+            ternary_ok: ternary.is_some(),
+        }
+    }
 }
 
 /// A hash-consing arena for [`History`] values.
@@ -282,11 +344,27 @@ struct HistoryEntry {
 /// `simulate` produces one `(label, state)` delivery per edge per round;
 /// materialising the state as an owned [`History`] clones a growing
 /// label-set vector for every single delivery. The arena stores each
-/// *distinct* history once and hands out 4-byte [`HistoryId`] handles:
-/// extending a node's history by one round is a single hash-map probe
-/// ([`HistoryArena::child`]), and per-round queries the leader needs —
-/// length, ternary column index, kernel sign — are cached per entry, so
-/// reading them through a handle is O(1) instead of O(rounds).
+/// *distinct* history once, as a parent handle plus its last label set,
+/// and hands out 4-byte [`HistoryId`] handles. Per-round queries the
+/// leader needs — length, last set, parent, ternary column index, kernel
+/// sign — are cached per entry, so reading them through a handle is
+/// O(1); the full mask sequence ([`HistoryArena::masks`]) is a walk up
+/// the parent chain.
+///
+/// Histories enter the arena two ways, and both keep it hash-consed
+/// (one handle per distinct history):
+///
+/// * [`HistoryArena::child`] — one history at a time, deduplicated
+///   through a `(parent, mask)` hash index;
+/// * [`HistoryArena::intern_level`] — a whole round's new histories in
+///   one call with no hash probe, for pairs that two O(1) checks prove
+///   new. The round engine ([`RoundEngine`](crate::soa::RoundEngine))
+///   interns every round this way.
+///
+/// The hash index is built lazily: `child` first indexes whatever the
+/// bulk path appended since its last call. Both paths push entries in
+/// call order, so handle values do not depend on which path interned a
+/// history.
 ///
 /// # Examples
 ///
@@ -302,11 +380,21 @@ struct HistoryEntry {
 /// assert_eq!(arena.resolve(ab), History::new(vec![LabelSet::L1, LabelSet::L12]));
 /// assert_eq!(arena.ternary_index(ab), 2); // cached, O(1)
 /// assert_eq!(arena.sign(ab), -1);
+///
+/// // A level in bulk: parents at the deepest level, pairs increasing.
+/// let mut level = Vec::new();
+/// arena.intern_level([(ab, LabelSet::L1), (ab, LabelSet::L2)], &mut level);
+/// assert_eq!(arena.child(ab, LabelSet::L2), level[1]); // still hash-consed
 /// ```
 #[derive(Debug, Clone)]
 pub struct HistoryArena {
     entries: Vec<HistoryEntry>,
+    /// Number of rounds of the longest interned history.
+    deepest: u32,
+    /// `(parent, mask) → child` for [`HistoryArena::child`]; covers
+    /// `entries[..indexed]` and catches up on each `child` call.
     children: HashMap<(u32, u32), u32>,
+    indexed: usize,
 }
 
 impl Default for HistoryArena {
@@ -319,14 +407,11 @@ impl HistoryArena {
     /// An arena holding only the empty history.
     pub fn new() -> HistoryArena {
         HistoryArena {
-            entries: vec![HistoryEntry {
-                parent: HistoryId::EMPTY,
-                last: None,
-                masks: Vec::new(),
-                ternary: Some(0),
-                sign: Some(1),
-            }],
+            entries: vec![HistoryEntry::EMPTY],
+            deepest: 0,
             children: HashMap::new(),
+            // The empty history is nobody's child.
+            indexed: 1,
         }
     }
 
@@ -341,43 +426,84 @@ impl HistoryArena {
         self.entries.len()
     }
 
+    /// Every handle of this arena, in interning order (the empty history
+    /// first).
+    pub fn ids(&self) -> impl Iterator<Item = HistoryId> {
+        (0..self.entries.len()).map(|i| HistoryId(u32::try_from(i).expect("handles fit u32")))
+    }
+
     fn entry(&self, id: HistoryId) -> &HistoryEntry {
         &self.entries[id.index()]
+    }
+
+    /// Appends the entry of `parent` extended by `next`, unchecked.
+    fn push(&mut self, parent: HistoryId, next: LabelSet) -> HistoryId {
+        let id = u32::try_from(self.entries.len()).expect("arena handle space exhausted");
+        let entry = self.entry(parent).child(parent, next);
+        self.deepest = self.deepest.max(entry.len);
+        self.entries.push(entry);
+        HistoryId(id)
     }
 
     /// The handle of `parent` extended by one round — interning it on
     /// first sight, returning the existing handle afterwards.
     pub fn child(&mut self, parent: HistoryId, next: LabelSet) -> HistoryId {
+        for (i, e) in self.entries.iter().enumerate().skip(self.indexed) {
+            let id = u32::try_from(i).expect("handles fit u32");
+            self.children.insert((e.parent.0, e.last), id);
+        }
+        self.indexed = self.entries.len();
         let key = (parent.0, next.mask());
         if let Some(&id) = self.children.get(&key) {
             return HistoryId(id);
         }
-        let p = self.entry(parent);
-        let mut masks = Vec::with_capacity(p.masks.len() + 1);
-        masks.extend_from_slice(&p.masks);
-        masks.push(next.mask());
-        let is_k2 = next.mask() <= 0b11;
-        let (ternary, sign) = if is_k2 {
-            let digit = next.ternary_digit();
-            (
-                p.ternary
-                    .and_then(|t| t.checked_mul(3))
-                    .and_then(|t| t.checked_add(digit)),
-                p.sign.map(|s| if digit == 2 { -s } else { s }),
-            )
-        } else {
-            (None, None)
-        };
-        let id = u32::try_from(self.entries.len()).expect("arena handle space exhausted");
-        self.entries.push(HistoryEntry {
-            parent,
-            last: Some(next),
-            masks,
-            ternary,
-            sign,
-        });
-        self.children.insert(key, id);
-        HistoryId(id)
+        let id = self.push(parent, next);
+        self.children.insert(key, id.0);
+        self.indexed = self.entries.len();
+        id
+    }
+
+    /// Interns one level of new histories in bulk: each `(parent, set)`
+    /// pair, in the given order, becomes a new entry whose handle is
+    /// appended to `out`.
+    ///
+    /// No hash lookup runs. Instead two checks per pair, each O(1),
+    /// prove every pair new: every parent has as many rounds as the
+    /// arena's longest history had when the call began (so none of its
+    /// children exists yet), and the pairs strictly increase in
+    /// `(parent, mask)` order (so none repeats within the call). The
+    /// handles are exactly those that [`HistoryArena::child`] calls on
+    /// the same pairs in the same order would return, and `child` keeps
+    /// returning them afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair fails either check, since pushing it could
+    /// intern a history twice; [`HistoryArena::child`] is the API for
+    /// pairs that may exist. The pairs before it stay interned, and
+    /// they are new, so the arena stays hash-consed. Also panics if a
+    /// parent handle is out of range or the arena runs out of `u32`
+    /// handles.
+    pub fn intern_level<I>(&mut self, pairs: I, out: &mut Vec<HistoryId>)
+    where
+        I: IntoIterator<Item = (HistoryId, LabelSet)>,
+    {
+        let deepest = self.deepest;
+        let mut prev: Option<(HistoryId, u32)> = None;
+        for (parent, set) in pairs {
+            let key = (parent, set.mask());
+            let len = self.entry(parent).len;
+            assert!(
+                len == deepest,
+                "bulk parent {parent:?} has {len} rounds, not the deepest {deepest}"
+            );
+            assert!(
+                prev.is_none_or(|p| p < key),
+                "bulk pair {key:?} does not follow {prev:?} in (parent, mask) order"
+            );
+            prev = Some(key);
+            out.push(self.push(parent, set));
+        }
     }
 
     /// Interns an owned history, one round at a time.
@@ -389,10 +515,9 @@ impl HistoryArena {
 
     /// Reconstructs the owned [`History`] behind a handle.
     pub fn resolve(&self, id: HistoryId) -> History {
-        self.entry(id)
-            .masks
-            .iter()
-            .map(|&m| {
+        self.masks(id)
+            .into_iter()
+            .map(|m| {
                 LabelSet::from_mask(m, crate::label::MAX_LABELS)
                     .expect("arena masks are valid label sets")
             })
@@ -401,26 +526,80 @@ impl HistoryArena {
 
     /// Number of recorded rounds of the history behind `id` — O(1).
     pub fn history_len(&self, id: HistoryId) -> usize {
-        self.entry(id).masks.len()
+        self.entry(id).len as usize
     }
 
     /// The canonical key of the history behind `id`: its label-set mask
-    /// sequence, round 0 first. Lexicographic order on keys equals
-    /// [`History`]'s derived `Ord`, so keys compare and hash across
-    /// arenas.
-    pub fn masks(&self, id: HistoryId) -> &[u32] {
-        &self.entry(id).masks
+    /// sequence, round 0 first, collected from the parent chain.
+    /// Lexicographic order on keys equals [`History`]'s derived `Ord`,
+    /// so keys compare and hash across arenas. Within one arena,
+    /// [`HistoryArena::cmp_canonical`] and [`HistoryArena::masks_rev`]
+    /// compare without allocating.
+    pub fn masks(&self, id: HistoryId) -> Vec<u32> {
+        let mut masks: Vec<u32> = self.masks_rev(id).collect();
+        masks.reverse();
+        masks
+    }
+
+    /// The label-set masks of the history behind `id`, last round
+    /// first — a walk up the parent chain that allocates nothing.
+    pub fn masks_rev(&self, id: HistoryId) -> impl Iterator<Item = u32> + '_ {
+        let mut cur = self.entry(id);
+        std::iter::from_fn(move || {
+            if cur.len == 0 {
+                return None;
+            }
+            let mask = cur.last;
+            cur = self.entry(cur.parent);
+            Some(mask)
+        })
+    }
+
+    /// The canonical order of two histories of this arena: equal to
+    /// `self.masks(a).cmp(&self.masks(b))`, without allocating.
+    ///
+    /// Both handles walk up to their common length; if they meet, the
+    /// shorter history is a prefix of the longer. Otherwise they walk up
+    /// in lockstep until their parents coincide, and the last sets
+    /// there are the first difference. Hash-consing (one handle per
+    /// distinct history) makes equal handles mean equal prefixes.
+    pub fn cmp_canonical(&self, a: HistoryId, b: HistoryId) -> Ordering {
+        if a == b {
+            return Ordering::Equal;
+        }
+        let (la, lb) = (self.entry(a).len, self.entry(b).len);
+        let (mut x, mut y) = (self.ancestor(a, lb), self.ancestor(b, la));
+        if x == y {
+            return la.cmp(&lb);
+        }
+        loop {
+            let (ex, ey) = (self.entry(x), self.entry(y));
+            if ex.parent == ey.parent {
+                return ex.last.cmp(&ey.last);
+            }
+            (x, y) = (ex.parent, ey.parent);
+        }
+    }
+
+    /// The ancestor of `id` with at most `len` rounds (`id` itself if it
+    /// is no longer).
+    fn ancestor(&self, mut id: HistoryId, len: u32) -> HistoryId {
+        while self.entry(id).len > len {
+            id = self.entry(id).parent;
+        }
+        id
     }
 
     /// The parent handle (all but the last round), or `None` for the
     /// empty history.
     pub fn parent(&self, id: HistoryId) -> Option<HistoryId> {
-        self.entry(id).last.map(|_| self.entry(id).parent)
+        let e = self.entry(id);
+        (e.len > 0).then_some(e.parent)
     }
 
     /// The last round's label set, or `None` for the empty history.
     pub fn last(&self, id: HistoryId) -> Option<LabelSet> {
-        self.entry(id).last
+        LabelSet::from_mask(self.entry(id).last, crate::label::MAX_LABELS).ok()
     }
 
     /// Cached [`History::ternary_index`] — O(1) per query instead of
@@ -431,8 +610,7 @@ impl HistoryArena {
     /// Panics if some label set is not a `k = 2` set, mirroring
     /// [`History::ternary_index`], or if the index overflows `usize`.
     pub fn ternary_index(&self, id: HistoryId) -> usize {
-        self.entry(id)
-            .ternary
+        self.checked_ternary_index(id)
             .expect("history is not a k = 2 ternary history (or its index overflows)")
     }
 
@@ -442,7 +620,8 @@ impl HistoryArena {
     /// fail closed on malformed deliveries — e.g. the fault-aware leaders
     /// in [`faults`](crate::faults).
     pub fn checked_ternary_index(&self, id: HistoryId) -> Option<usize> {
-        self.entry(id).ternary
+        let e = self.entry(id);
+        e.ternary_ok.then_some(e.ternary)
     }
 
     /// Whether `id` is a `k = 2` ternary history (every label set one of
@@ -452,7 +631,7 @@ impl HistoryArena {
     /// column index leaves `usize` around depth 41. Used by the
     /// fault-aware leaders' deep confirmation screening.
     pub fn is_ternary(&self, id: HistoryId) -> bool {
-        self.entry(id).sign.is_some()
+        self.entry(id).sign != 0
     }
 
     /// Cached [`History::sign`] — O(1) per query.
@@ -461,9 +640,11 @@ impl HistoryArena {
     ///
     /// Panics if some label set is not a `k = 2` set.
     pub fn sign(&self, id: HistoryId) -> i64 {
-        self.entry(id)
-            .sign
-            .expect("history is not a k = 2 ternary history")
+        assert!(
+            self.is_ternary(id),
+            "history is not a k = 2 ternary history"
+        );
+        i64::from(self.entry(id).sign)
     }
 }
 
@@ -612,6 +793,88 @@ mod tests {
         let mut by_history = pairs;
         by_history.sort_by(|a, b| a.1.cmp(&b.1));
         assert_eq!(by_key, by_history);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn arena_entries_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<HistoryEntry>(), 24);
+    }
+
+    #[test]
+    fn bulk_level_stays_hash_consed() {
+        let mut arena = HistoryArena::new();
+        let a = arena.child(HistoryArena::empty(), LabelSet::L1);
+        let b = arena.child(HistoryArena::empty(), LabelSet::L12);
+        let mut level = vec![HistoryArena::empty()];
+        let pairs = [(a, LabelSet::L2), (a, LabelSet::L12), (b, LabelSet::L1)];
+        arena.intern_level(pairs, &mut level);
+        assert_eq!(level.len(), 4, "handles are appended after what `out` held");
+        assert_eq!(arena.interned(), 6);
+        for (&id, (parent, set)) in level[1..].iter().zip(pairs) {
+            assert_eq!(arena.child(parent, set), id);
+            assert_eq!(arena.resolve(id), arena.resolve(parent).child(set));
+        }
+        assert_eq!(arena.interned(), 6, "child() found every bulk entry");
+        // The next level extends the new deepest histories.
+        let mut next = Vec::new();
+        arena.intern_level([(level[3], LabelSet::L2)], &mut next);
+        assert_eq!(arena.history_len(next[0]), 3);
+        assert_eq!(arena.sign(next[0]), -1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not the deepest 1")]
+    fn bulk_level_rejects_a_parent_below_the_deepest_level() {
+        let mut arena = HistoryArena::new();
+        let a = arena.child(HistoryArena::empty(), LabelSet::L1);
+        // The root's {1} child exists already: a bulk push of it would
+        // intern it twice.
+        let pairs = [(a, LabelSet::L1), (HistoryArena::empty(), LabelSet::L1)];
+        arena.intern_level(pairs, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not follow")]
+    fn bulk_level_rejects_a_repeated_pair() {
+        let root = HistoryArena::empty();
+        let pairs = [(root, LabelSet::L2), (root, LabelSet::L2)];
+        HistoryArena::new().intern_level(pairs, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not follow")]
+    fn bulk_level_rejects_a_decreasing_pair() {
+        let root = HistoryArena::empty();
+        let pairs = [(root, LabelSet::L2), (root, LabelSet::L1)];
+        HistoryArena::new().intern_level(pairs, &mut Vec::new());
+    }
+
+    #[test]
+    fn cmp_canonical_orders_prefixes_first() {
+        let mut arena = HistoryArena::new();
+        let mut ids = Vec::new();
+        for s in [
+            "[]",
+            "[{1}]",
+            "[{1},{2}]",
+            "[{1},{1,2}]",
+            "[{2}]",
+            "[{2},{1}]",
+            "[{1,2}]",
+        ] {
+            ids.push(arena.intern(&s.parse().unwrap()));
+        }
+        for (i, &a) in ids.iter().enumerate() {
+            for (j, &b) in ids.iter().enumerate() {
+                assert_eq!(arena.cmp_canonical(a, b), i.cmp(&j), "{i} vs {j}");
+                assert_eq!(
+                    arena.cmp_canonical(a, b),
+                    arena.masks(a).cmp(&arena.masks(b))
+                );
+            }
+        }
+        assert!(arena.masks_rev(ids[3]).eq([0b11, 0b01]));
     }
 
     #[test]

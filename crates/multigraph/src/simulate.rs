@@ -68,7 +68,10 @@ impl PartialEq for Execution {
                 a.len() == b.len()
                     && a.iter().zip(b.iter()).all(|(x, y)| {
                         x.label == y.label
-                            && self.arena.masks(x.state) == other.arena.masks(y.state)
+                            && self
+                                .arena
+                                .masks_rev(x.state)
+                                .eq(other.arena.masks_rev(y.state))
                     })
             })
     }
@@ -136,12 +139,13 @@ pub fn simulate_threaded(m: &DblMultigraph, rounds: usize, threads: usize) -> Ex
 
 /// The retired array-of-structs simulator, kept as a differential
 /// baseline: per node, one [`Delivery`] pushed per edge, then a
-/// comparison sort through the arena's mask vectors.
+/// comparison sort through [`HistoryArena::cmp_canonical`], and one
+/// [`HistoryArena::child`] probe per node.
 ///
 /// Produces an [`Execution`] equal (under [`Execution`]'s
 /// history-resolving equality) to [`simulate`]'s, with the same number
 /// of interned histories — property-tested on 50 seeds — but costs
-/// `O(E log E · depth)` mask-word comparisons per round where the
+/// `O(E log E · depth)` parent-chain steps per round where the
 /// engine costs `O(E + n)`. The `exp_scale` benchmark measures the gap;
 /// nothing else should call this.
 pub fn simulate_reference(m: &DblMultigraph, rounds: usize) -> Execution {
@@ -161,9 +165,11 @@ pub fn simulate_reference(m: &DblMultigraph, rounds: usize) -> Execution {
             }
         }
         // Canonical (label, history) order — handle values are
-        // arena-creation order, so sort through the canonical keys.
+        // arena-creation order, so sort by walking the histories.
         deliveries.sort_by(|a, b| {
-            (a.label, arena.masks(a.state)).cmp(&(b.label, arena.masks(b.state)))
+            a.label
+                .cmp(&b.label)
+                .then_with(|| arena.cmp_canonical(a.state, b.state))
         });
         out.push(RoundColumns::from_deliveries(&deliveries));
         // Receive phase: each node learns the labels of the edges it was

@@ -2,9 +2,9 @@
 //!
 //! The original message-passing simulator represented a round as
 //! `Vec<Delivery>` — one heap cell per `(label, state)` pair, built per
-//! node and then comparison-sorted through the arena's mask vectors
-//! (`O(E log E · depth)` mask words compared per round). This module
-//! replaces that hot path end to end:
+//! node and then comparison-sorted by history (`O(E log E · depth)`
+//! mask words compared per round). This module replaces that hot path
+//! end to end:
 //!
 //! * [`RoundColumns`] — the deliveries of one round as two flat columns
 //!   (`labels: Vec<u8>`, `states: Vec<HistoryId>`), always held in the
@@ -32,6 +32,29 @@
 //!    occupied pairs ordered by `(parent rank, mask)`, because mask
 //!    vectors compare lexicographically), then remap every live node's
 //!    state handle and rank (`O(n)`, node-parallel).
+//!
+//! # Bulk levels
+//!
+//! Rank advance interns the whole level through one
+//! [`HistoryArena::intern_level`] call: no hash probe and no heap
+//! allocation per history (an arena entry is a fixed-size parent link,
+//! see [`crate::history`]). The call's two O(1) checks hold by
+//! construction here. The parents are the current depth's live
+//! histories, which are the arena's deepest, since the engine created
+//! them one level ago. The pairs strictly increase in `(parent, mask)`
+//! order, because each level's handles were pushed in rank order, so
+//! rank order is handle order. The new handles come back in rank order
+//! and become the next depth's `ids_by_rank`.
+//!
+//! # Perturbed rounds
+//!
+//! The fault layer duplicates deliveries with
+//! [`RoundColumns::duplicate_indexed`], which inserts each copy right
+//! after its original instead of appending and re-sorting. Within one
+//! arena equal histories have equal handles, so in canonical order
+//! every copy of a `(label, state)` pair sits in one run, and a copy
+//! placed next to its original leaves the columns exactly as a stable
+//! sort would.
 //!
 //! # Determinism
 //!
@@ -214,13 +237,36 @@ impl RoundColumns {
         self.states.truncate(write);
     }
 
-    /// Restores canonical `(label, history)` order by sorting through the
-    /// arena's cached mask vectors. The engine never needs this (it emits
-    /// in canonical order); it exists for perturbed rounds (duplicated
-    /// deliveries) and hand-built columns.
+    /// Inserts a copy of every delivery whose index satisfies `dup`
+    /// right after it (the fault layer's stride duplicates) and returns
+    /// how many were copied. In canonical order identical `(label,
+    /// state)` pairs are adjacent, so the result is still canonical: it
+    /// equals appending the copies and calling
+    /// [`RoundColumns::canonical_sort`].
+    pub fn duplicate_indexed(&mut self, mut dup: impl FnMut(usize) -> bool) -> usize {
+        let mut out = RoundColumns::with_capacity(2 * self.len());
+        for (i, d) in self.iter().enumerate() {
+            out.push(d.label, d.state);
+            if dup(i) {
+                out.push(d.label, d.state);
+            }
+        }
+        let copies = out.len() - self.len();
+        *self = out;
+        copies
+    }
+
+    /// Restores canonical `(label, history)` order by sorting with the
+    /// arena's allocation-free [`HistoryArena::cmp_canonical`]. The
+    /// engine never needs this (it emits in canonical order); it exists
+    /// for hand-built columns and histories interned out of order.
     pub fn canonical_sort(&mut self, arena: &HistoryArena) {
         let mut aos: Vec<Delivery> = self.iter().collect();
-        aos.sort_by(|a, b| (a.label, arena.masks(a.state)).cmp(&(b.label, arena.masks(b.state))));
+        aos.sort_by(|a, b| {
+            a.label
+                .cmp(&b.label)
+                .then_with(|| arena.cmp_canonical(a.state, b.state))
+        });
         self.clear();
         for d in aos {
             self.push(d.label, d.state);
@@ -308,11 +354,10 @@ pub struct RoundEngine {
     pair_counts: Vec<u64>,
     /// The round `pair_counts` currently describes.
     hist_round: Option<usize>,
-    /// Interned child handle per occupied `(rank, set)` pair.
-    child_ids: Vec<HistoryId>,
     /// Next-depth rank per occupied `(rank, set)` pair.
     rank_of: Vec<u32>,
-    /// Next-depth `ids_by_rank`, built during advance and swapped in.
+    /// Next-depth `ids_by_rank`, filled by the bulk intern and swapped
+    /// in.
     next_ids: Vec<HistoryId>,
     /// Per-chunk partial histograms, reused across rounds.
     chunk_counts: Vec<Vec<u64>>,
@@ -344,7 +389,6 @@ impl RoundEngine {
             live: n,
             pair_counts: Vec::new(),
             hist_round: None,
-            child_ids: Vec::new(),
             rank_of: Vec::new(),
             next_ids: Vec::new(),
             chunk_counts: Vec::new(),
@@ -476,30 +520,34 @@ impl RoundEngine {
         }
         self.ensure_histogram(m, r);
         let nsets = self.nsets;
-        let width = self.ids_by_rank.len() * nsets;
-        // Intern the occupied (rank, set) children in canonical order —
-        // serial, so handle values never depend on the thread count.
-        self.child_ids.clear();
-        self.child_ids.resize(width, HistoryArena::empty());
+        // The occupied (rank, set) pairs, in slot order, are the next
+        // depth's ranks — and, since ranks follow handle order, strictly
+        // increasing (parent, mask) pairs whose parents are the arena's
+        // deepest histories. So they intern as one bulk level, serially,
+        // and handle values never depend on the thread count.
         self.rank_of.clear();
-        self.rank_of.resize(width, u32::MAX);
-        self.next_ids.clear();
-        for rank in 0..self.ids_by_rank.len() {
-            for mask in 1..=nsets {
-                let idx = rank * nsets + mask - 1;
-                if self.pair_counts[idx] == 0 {
-                    continue;
-                }
-                let mask = u32::try_from(mask).expect("nsets <= 63 for the dense path");
-                let set = LabelSet::from_mask(mask, self.k)
-                    .expect("mask ranges over valid non-empty sets");
-                let child = self.arena.child(self.ids_by_rank[rank], set);
-                self.child_ids[idx] = child;
-                self.rank_of[idx] = u32::try_from(self.next_ids.len())
-                    .expect("distinct histories bounded by the population");
-                self.next_ids.push(child);
+        self.rank_of.resize(self.pair_counts.len(), u32::MAX);
+        let mut next_rank = 0u32;
+        for (rank, &count) in self.rank_of.iter_mut().zip(&self.pair_counts) {
+            if count > 0 {
+                *rank = next_rank;
+                next_rank += 1;
             }
         }
+        self.next_ids.clear();
+        let (ids, k) = (&self.ids_by_rank, self.k);
+        let pairs = self
+            .pair_counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(idx, _)| {
+                let mask = u32::try_from(idx % nsets + 1).expect("nsets <= 63 for the dense path");
+                let set =
+                    LabelSet::from_mask(mask, k).expect("mask ranges over valid non-empty sets");
+                (ids[idx / nsets], set)
+            });
+        self.arena.intern_level(pairs, &mut self.next_ids);
         // Remap every live node — elementwise, so chunk-parallel.
         let n = self.nodes();
         let threads = self.threads.min(n.div_ceil(CHUNK_NODES)).max(1);
@@ -509,11 +557,11 @@ impl RoundEngine {
                     continue;
                 }
                 let idx = pair_slot(self.node_rank[node], nsets, m.label_set(r, node).mask());
-                self.states[node] = self.child_ids[idx];
                 self.node_rank[node] = self.rank_of[idx];
+                self.states[node] = self.next_ids[self.rank_of[idx] as usize];
             }
         } else {
-            let child_ids = &self.child_ids;
+            let next_ids = &self.next_ids;
             let rank_of = &self.rank_of;
             let alive = &self.alive;
             /// One remap work chunk: its base node index plus the
@@ -541,8 +589,8 @@ impl RoundEngine {
                             }
                             let idx =
                                 pair_slot(ranks[off], nsets, m.label_set(r, node).mask());
-                            states[off] = child_ids[idx];
                             ranks[off] = rank_of[idx];
+                            states[off] = next_ids[rank_of[idx] as usize];
                         }
                     });
                 }
@@ -670,6 +718,19 @@ mod tests {
         cols.canonical_sort(&arena);
         assert_eq!(cols.labels(), &[1, 1, 2]);
         assert_eq!(cols.states(), &[h1, h2, h1]);
+        // A history sorts after its prefix and before any history that
+        // differs earlier, whatever the handle order or the lengths.
+        let h22 = arena.child(h2, LabelSet::L2);
+        let h12 = arena.child(h1, LabelSet::L12);
+        let mut cols = RoundColumns::from_deliveries(&[
+            Delivery { label: 1, state: h22 },
+            Delivery { label: 1, state: h2 },
+            Delivery { label: 1, state: h12 },
+            Delivery { label: 1, state: h1 },
+            Delivery { label: 1, state: HistoryArena::empty() },
+        ]);
+        cols.canonical_sort(&arena);
+        assert_eq!(cols.states(), &[HistoryArena::empty(), h1, h12, h2, h22]);
     }
 
     #[test]

@@ -308,7 +308,7 @@ mod tests {
             .map(|cols| {
                 let mut v: Vec<(u8, Vec<u32>)> = cols
                     .iter()
-                    .map(|d| (d.label, faulted.execution.arena.masks(d.state).to_vec()))
+                    .map(|d| (d.label, faulted.execution.arena.masks(d.state)))
                     .collect();
                 v.sort();
                 v

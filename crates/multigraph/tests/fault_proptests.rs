@@ -11,7 +11,9 @@
 //! [`simulate_with_faults`]: drained, it yields the same rounds, records
 //! and arena; stopped after `r` rounds, it yields exactly the eager
 //! prefix. A fixed-seed digest pins `simulate_with_faults` itself to the
-//! output of the eager loop it replaced.
+//! output of the eager loop it replaced. The arena the engine builds one
+//! bulk level per round equals the arena that
+//! [`HistoryArena::child`] builds from the same pairs.
 
 use anonet_multigraph::adversary::RandomDblAdversary;
 use anonet_multigraph::corpus::ArchivedSchedule;
@@ -281,6 +283,33 @@ proptest! {
         prop_assert_eq!(records, eager_records);
         let short = simulate_with_faults(&m, r, &plan);
         prop_assert_eq!(entries(&arena), entries(&short.execution.arena));
+    }
+
+    #[test]
+    fn bulk_levels_equal_child_interning((m, horizon, plan) in arb_faulted_run()) {
+        // The engine interns every round as one bulk level; replaying
+        // the same (parent, set) pairs in the same order through child()
+        // must give the same handles and the same cached answers.
+        let bulk = simulate_with_faults(&m, horizon, &plan).execution.arena;
+        let mut by_child = HistoryArena::new();
+        let mut probed = bulk.clone();
+        for id in bulk.ids().skip(1) {
+            let (parent, set) = (bulk.parent(id).unwrap(), bulk.last(id).unwrap());
+            prop_assert_eq!(by_child.child(parent, set), id);
+            // child() on the bulk-built arena finds the existing entry.
+            prop_assert_eq!(probed.child(parent, set), id);
+        }
+        prop_assert_eq!(by_child.interned(), bulk.interned());
+        prop_assert_eq!(probed.interned(), bulk.interned());
+        for id in bulk.ids() {
+            prop_assert_eq!(by_child.history_len(id), bulk.history_len(id));
+            prop_assert_eq!(by_child.last(id), bulk.last(id));
+            prop_assert_eq!(by_child.parent(id), bulk.parent(id));
+            prop_assert_eq!(by_child.checked_ternary_index(id), bulk.checked_ternary_index(id));
+            prop_assert_eq!(by_child.is_ternary(id), bulk.is_ternary(id));
+            prop_assert_eq!(by_child.sign(id), bulk.sign(id));
+            prop_assert_eq!(by_child.masks(id), bulk.masks(id));
+        }
     }
 
     #[test]

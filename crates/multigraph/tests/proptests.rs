@@ -2,7 +2,9 @@
 
 use anonet_multigraph::adversary::{indistinguishability_horizon, TwinBuilder};
 use anonet_multigraph::system::{self, kernel_vector, solve_census};
-use anonet_multigraph::{Census, DblMultigraph, History, LabelSet, LeaderState, Observations};
+use anonet_multigraph::{
+    Census, DblMultigraph, History, HistoryArena, LabelSet, LeaderState, Observations,
+};
 use proptest::prelude::*;
 
 fn arb_labelset() -> impl Strategy<Value = LabelSet> {
@@ -166,5 +168,40 @@ proptest! {
             LeaderState::observe(&m, rounds),
             LeaderState::observe(&m2, rounds)
         );
+    }
+}
+
+/// Label sets over `k = 3`, so histories that are not ternary (and
+/// masks above `0b11`) take part too.
+fn arb_labelset_k3() -> impl Strategy<Value = LabelSet> {
+    (1u32..8).prop_map(|mask| LabelSet::from_mask(mask, 3).unwrap())
+}
+
+proptest! {
+    #[test]
+    fn cmp_canonical_equals_mask_sequence_order(
+        histories in proptest::collection::vec(
+            proptest::collection::vec(arb_labelset_k3(), 0..6),
+            1..10,
+        ),
+    ) {
+        // Interning a history interns its prefixes, so the arena holds
+        // pairs of unequal lengths, prefixes and shared stems.
+        let mut arena = HistoryArena::new();
+        for sets in histories {
+            arena.intern(&History::new(sets));
+        }
+        for a in arena.ids() {
+            for b in arena.ids() {
+                prop_assert_eq!(
+                    arena.cmp_canonical(a, b),
+                    arena.masks(a).cmp(&arena.masks(b)),
+                    "{:?} vs {:?}", arena.resolve(a), arena.resolve(b)
+                );
+            }
+            let mut reversed: Vec<u32> = arena.masks_rev(a).collect();
+            reversed.reverse();
+            prop_assert_eq!(reversed, arena.masks(a));
+        }
     }
 }

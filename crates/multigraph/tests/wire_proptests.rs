@@ -71,7 +71,7 @@ fn simulated_rounds(m: &DblMultigraph, rounds: u32, plan: &FaultPlan) -> Vec<Vec
         .map(|cols| {
             let mut v: Vec<(u8, Vec<u32>)> = cols
                 .iter()
-                .map(|d| (d.label, faulted.execution.arena.masks(d.state).to_vec()))
+                .map(|d| (d.label, faulted.execution.arena.masks(d.state)))
                 .collect();
             v.sort();
             v

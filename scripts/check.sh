@@ -148,7 +148,13 @@ if [[ $fast -eq 0 ]]; then
     # over TCP, and that a hung peer surfaces as a typed RoundTimeout
     # inside its deadline budget. The hard timeout is the meta-watchdog:
     # a wedged barrier fails the check instead of hanging CI.
-    timeout 300 target/release/exp_net --smoke >/dev/null
+    nfresh=$(mktemp)
+    timeout 300 target/release/exp_net --smoke --json --no-timings >"$nfresh"
+    # The committed document pins every verdict, frame-rewrite and
+    # budget cell; no cell prints a measured time.
+    same_output "exp_net --smoke differs from tests/golden/exp_net_smoke.json" \
+        tests/golden/exp_net_smoke.json "$nfresh" "$nfresh"
+    rm -f "$nfresh"
 fi
 
 if [[ $fast -eq 0 ]]; then
