@@ -6,14 +6,12 @@
 //! * `--quick` — reduced grid; `--smoke` — the CI grid (one shared cell
 //!   plus a single `n = 10^5` execution; writes no file unless `--out`
 //!   is given);
-//! * `--threads N` — worker count of the threaded arm (else
-//!   `ANONET_THREADS`, else auto); never changes which cells run or any
-//!   deterministic column;
 //! * `--json` — print the benchmark document instead of the markdown
 //!   table;
-//! * `--no-timings` — strip the timing fields (and the thread count)
-//!   from the document, leaving only bit-for-bit reproducible columns;
-//!   `scripts/check.sh` byte-compares this form across thread counts;
+//! * `--no-timings` — strip the timing fields from the document,
+//!   leaving only bit-for-bit reproducible columns; `scripts/check.sh`
+//!   byte-compares the `--smoke` form against
+//!   `tests/golden/exp_scale_smoke.json`;
 //! * `--out PATH` — write the document to `PATH` (default
 //!   `BENCH_scale.json` for non-smoke runs);
 //! * `--checkpoint PATH` / `--resume` — journal each completed cell to
@@ -25,9 +23,10 @@
 //!   with the vendored float-free JSON reader, re-check the speedup
 //!   floor and the `n = 10^5` scaling target, and exit.
 //!
-//! Every cell re-proves correctness before timing (byte-identical
-//! serial-vs-threaded runs, reference-arm equality on shared cells, the
-//! leader deciding exactly `n` at round `horizon + 2`); the document is
+//! The cells run serially, one at a time, so their timings do not
+//! compete for cores. Every cell re-proves correctness before timing
+//! (reference-arm equality on shared cells, the leader deciding exactly
+//! `n` at round `horizon + 2`); the document is
 //! schema-validated in-process before anything is written, and full
 //! runs must additionally pass the acceptance gates (speedup floor at
 //! the best shared cell, grid reaching `n = 10^5`).
@@ -90,7 +89,7 @@ fn main() {
     let out_flag = arg_value(&args, "--out");
 
     let cfg = GridConfig::from_args(&args);
-    let specs = grid_specs(grid, cfg.threads.max(1));
+    let specs = grid_specs(grid);
     let ids: Vec<String> = specs.iter().map(CellSpec::id).collect();
     let result = match run_serial_checkpointed(&ids, &cfg, cell_payload, cell_from_payload, |i| {
         specs[i].run()

@@ -2,25 +2,23 @@
 //!
 //! Extends the separation grids to `n = 10^5` and beyond on the
 //! struct-of-arrays round engine
-//! ([`RoundEngine`](anonet_multigraph::RoundEngine)) and measures three
-//! arms per cell, all driving the worst-case Lemma 5 twin execution of
+//! ([`RoundEngine`](anonet_multigraph::RoundEngine)) and measures two
+//! arms per cell, both driving the worst-case Lemma 5 twin execution of
 //! size `n` for `horizon + 4` rounds:
 //!
 //! * **reference** — the retired array-of-structs simulator
 //!   ([`simulate_reference`]): one `Delivery` push per edge, then a
 //!   comparison sort by history (`O(E log E · depth)` per round), and
 //!   one hash-probed `HistoryArena::child` per node;
-//! * **soa** — [`simulate_threaded`]`(m, rounds, 1)`: the sort-free
-//!   histogram round step (`O(E + n)` per round);
-//! * **threaded** — the same engine on the configured worker count.
+//! * **soa** — [`simulate`]: the sort-free histogram round step
+//!   (`O(E + n)` per round).
 //!
 //! Every cell re-proves the paper's bounds before anything is timed:
 //! the online leader must decide exactly `n` at round `horizon + 2`
-//! (Theorem 1's matching upper bound on the twin execution), the serial
-//! and threaded runs must agree on **raw bytes** (handle values
-//! included), and shared cells must match the reference arm under
-//! history-resolving [`Execution`] equality with an equal interned
-//! count.
+//! (Theorem 1's matching upper bound on the twin execution), and shared
+//! cells must match the reference arm under history-resolving
+//! [`Execution`](anonet_multigraph::simulate::Execution) equality with
+//! an equal interned count.
 //!
 //! The emitted document (`BENCH_scale.json`) holds only strings and
 //! integers — derived ratios are stored in permille — so the committed
@@ -28,11 +26,11 @@
 //! [`anonet_trace::json`] reader (the `--lint-bench` CI check), which
 //! rejects floats. `bench_doc(cells, false)` omits the timing fields,
 //! leaving only deterministic columns; `scripts/check.sh` byte-compares
-//! that form across thread counts.
+//! the smoke grid's form against `tests/golden/exp_scale_smoke.json`.
 
 use anonet_core::experiment::Table;
 use anonet_multigraph::adversary::TwinBuilder;
-use anonet_multigraph::simulate::{simulate_reference, simulate_threaded, OnlineLeader};
+use anonet_multigraph::simulate::{simulate, simulate_reference, OnlineLeader};
 use serde::Value;
 use std::hint::black_box;
 use std::time::Instant;
@@ -44,6 +42,11 @@ use std::time::Instant;
 /// `n = 10^3` and 9.5× at `n = 10^5` on a 2-vCPU VM); the floor is
 /// deliberately conservative so slower machines pass.
 pub const SPEEDUP_FLOOR_PERMILLE: u64 = 1500;
+
+/// The document schema this module writes and accepts. Version 2
+/// dropped the threaded arm (`threads`, `threaded_micros`) of
+/// version 1; a version 1 document is rejected.
+pub const SCHEMA_VERSION: i128 = 2;
 
 /// Minimum size the largest cell of a committed full run must reach
 /// (the ISSUE's `n = 10^5+` scaling target).
@@ -67,8 +70,6 @@ pub enum Grid {
 pub struct ScaleCell {
     /// Network size (the smaller twin).
     pub n: u64,
-    /// Worker count of the threaded arm.
-    pub threads: usize,
     /// The Lemma 5 indistinguishability horizon for `n`.
     pub horizon: u32,
     /// Rounds the online leader ingested until it decided — one past
@@ -81,10 +82,8 @@ pub struct ScaleCell {
     pub deliveries: u64,
     /// Distinct histories interned by the execution (deterministic).
     pub interned: u64,
-    /// Wall-clock microseconds of the serial SoA arm.
+    /// Wall-clock microseconds of the SoA arm.
     pub soa_micros: u64,
-    /// Wall-clock microseconds of the threaded SoA arm.
-    pub threaded_micros: u64,
     /// Wall-clock microseconds of the reference arm (`None` on
     /// soa-only cells, where the sort-based baseline would dominate the
     /// run).
@@ -123,8 +122,6 @@ fn time_micros(reps: usize, mut f: impl FnMut()) -> u64 {
 pub struct CellSpec {
     /// Network size.
     pub n: u64,
-    /// Worker count of the threaded arm.
-    pub threads: usize,
     /// Whether the reference arm is verified and timed too.
     pub shared: bool,
 }
@@ -133,9 +130,8 @@ impl CellSpec {
     /// Stable identifier used in checkpoint journals.
     pub fn id(&self) -> String {
         format!(
-            "scale:n={},t={}{}",
+            "scale:n={}{}",
             self.n,
-            self.threads,
             if self.shared { "" } else { ":soa-only" }
         )
     }
@@ -145,36 +141,21 @@ impl CellSpec {
     /// # Panics
     ///
     /// Panics if any correctness gate fails: the twin construction, the
-    /// serial-vs-threaded raw-byte comparison, the reference-arm
-    /// equality (shared cells), or the leader deciding anything other
-    /// than `n` at round `horizon + 2` — the checkpoint runner catches
-    /// this into a cell failure.
+    /// reference-arm equality (shared cells), or the leader deciding
+    /// anything other than `n` at round `horizon + 2` — the checkpoint
+    /// runner catches this into a cell failure.
     pub fn run(&self) -> ScaleCell {
-        let CellSpec { n, threads, shared } = *self;
+        let CellSpec { n, shared } = *self;
         let pair = TwinBuilder::new().build(n).expect("twin construction");
         let m = &pair.smaller;
         let rounds = pair.horizon as usize + 4;
 
         // The correctness passes double as the timing passes on large
-        // cells (below, small cells re-time with min-of-reps): raw-byte
-        // thread invariance first…
+        // cells (below, small cells re-time with min-of-reps): the
+        // engine first, then the retired baseline on shared cells…
         let start = Instant::now();
-        let exec = simulate_threaded(m, rounds, 1);
+        let exec = simulate(m, rounds);
         let mut soa_micros = (start.elapsed().as_micros() as u64).max(1);
-        let start = Instant::now();
-        let par = simulate_threaded(m, rounds, threads);
-        let mut threaded_micros = (start.elapsed().as_micros() as u64).max(1);
-        assert_eq!(
-            exec.rounds, par.rounds,
-            "n={n}: threaded run must be byte-identical to serial"
-        );
-        assert_eq!(
-            exec.arena.interned(),
-            par.arena.interned(),
-            "n={n}: threaded run must intern the same histories"
-        );
-        drop(par);
-        // …then the retired baseline on shared cells.
         let mut reference_micros = shared.then(|| {
             let start = Instant::now();
             let reference = simulate_reference(m, rounds);
@@ -222,10 +203,7 @@ impl CellSpec {
         if n < 50_000 {
             let reps = 3;
             soa_micros = time_micros(reps, || {
-                black_box(simulate_threaded(m, rounds, 1));
-            });
-            threaded_micros = time_micros(reps, || {
-                black_box(simulate_threaded(m, rounds, threads));
+                black_box(simulate(m, rounds));
             });
             if shared {
                 reference_micros = Some(time_micros(reps, || {
@@ -236,28 +214,25 @@ impl CellSpec {
 
         ScaleCell {
             n,
-            threads,
             horizon: pair.horizon,
             decision_round,
             rounds,
             deliveries,
             interned,
             soa_micros,
-            threaded_micros,
             reference_micros,
         }
     }
 }
 
-/// The grid's cell specs, in grid order. `threads` configures the
-/// threaded arm of every cell (it never changes which cells run).
-pub fn grid_specs(grid: Grid, threads: usize) -> Vec<CellSpec> {
+/// The grid's cell specs, in grid order.
+pub fn grid_specs(grid: Grid) -> Vec<CellSpec> {
     let (shared, only): (&[u64], &[u64]) = match grid {
         Grid::Smoke => (&[1_000], &[100_000]),
         Grid::Quick => (&[1_000, 10_000], &[100_000]),
         Grid::Full => (&[1_000, 10_000, 100_000], &[1_000_000]),
     };
-    let spec = |&n: &u64, shared: bool| CellSpec { n, threads, shared };
+    let spec = |&n: &u64, shared: bool| CellSpec { n, shared };
     shared
         .iter()
         .map(|n| spec(n, true))
@@ -267,8 +242,8 @@ pub fn grid_specs(grid: Grid, threads: usize) -> Vec<CellSpec> {
 
 /// Runs the scaling grid serially (timing fidelity) and returns its
 /// cells in grid order.
-pub fn run_scaling(grid: Grid, threads: usize) -> Vec<ScaleCell> {
-    grid_specs(grid, threads).iter().map(CellSpec::run).collect()
+pub fn run_scaling(grid: Grid) -> Vec<ScaleCell> {
+    grid_specs(grid).iter().map(CellSpec::run).collect()
 }
 
 /// Serializes a cell as a single-line checkpoint payload (strings and
@@ -299,14 +274,12 @@ pub fn cell_from_payload(payload: &anonet_trace::json::JsonValue) -> Result<Scal
     };
     Ok(ScaleCell {
         n: as_u64(int_field("n")?, "n")?,
-        threads: as_usize(int_field("threads")?, "threads")?,
         horizon: as_u32(int_field("horizon")?, "horizon")?,
         decision_round: as_u32(int_field("decision_round")?, "decision_round")?,
         rounds: as_usize(int_field("rounds")?, "rounds")?,
         deliveries: as_u64(int_field("deliveries")?, "deliveries")?,
         interned: as_u64(int_field("interned")?, "interned")?,
         soa_micros: as_u64(int_field("soa_micros")?, "soa_micros")?,
-        threaded_micros: as_u64(int_field("threaded_micros")?, "threaded_micros")?,
         reference_micros: match payload.get("reference_micros") {
             Some(v) => Some(as_u64(
                 v.as_int()
@@ -330,7 +303,6 @@ pub fn scaling_table(cells: &[ScaleCell]) -> Table {
             "interned",
             "reference_us",
             "soa_us",
-            "threaded_us",
             "speedup",
         ],
     );
@@ -343,7 +315,6 @@ pub fn scaling_table(cells: &[ScaleCell]) -> Table {
             c.reference_micros
                 .map_or("(soa only)".to_string(), |r| r.to_string()),
             c.soa_micros.to_string(),
-            c.threaded_micros.to_string(),
             c.speedup().map_or("-".to_string(), |s| format!("{s:.1}")),
         ]);
     }
@@ -372,7 +343,7 @@ pub fn best_shared(cells: &[ScaleCell]) -> Option<&ScaleCell> {
 ///   at least [`SPEEDUP_FLOOR_PERMILLE`];
 /// * the grid must reach [`MIN_LARGEST_N`].
 ///
-/// (Per-cell correctness — byte-identity, reference equality, the
+/// (Per-cell correctness — reference equality, the
 /// decision landing at `horizon + 2` with the exact count — is asserted
 /// inside [`CellSpec::run`] on every grid size, not here.)
 ///
@@ -400,14 +371,10 @@ pub fn check_gates(cells: &[ScaleCell]) -> Result<(), String> {
 }
 
 /// One cell as a document value; `timings` false omits the timing
-/// fields *and* the thread count, leaving only columns that are
-/// bit-for-bit reproducible on any machine at any thread count (the
-/// `--no-timings` byte-compare form).
+/// fields, leaving only columns that are bit-for-bit reproducible on
+/// any machine (the `--no-timings` byte-compare form).
 fn cell_value(c: &ScaleCell, timings: bool) -> Value {
     let mut entries = vec![("n".to_string(), Value::Int(c.n as i128))];
-    if timings {
-        entries.push(("threads".to_string(), Value::Int(c.threads as i128)));
-    }
     entries.extend([
         ("horizon".to_string(), Value::Int(c.horizon as i128)),
         (
@@ -420,10 +387,6 @@ fn cell_value(c: &ScaleCell, timings: bool) -> Value {
     ]);
     if timings {
         entries.push(("soa_micros".to_string(), Value::Int(c.soa_micros as i128)));
-        entries.push((
-            "threaded_micros".to_string(),
-            Value::Int(c.threaded_micros as i128),
-        ));
         if let Some(r) = c.reference_micros {
             entries.push(("reference_micros".to_string(), Value::Int(r as i128)));
             entries.push((
@@ -441,7 +404,7 @@ fn cell_value(c: &ScaleCell, timings: bool) -> Value {
 pub fn bench_doc(cells: &[ScaleCell], timings: bool) -> Value {
     let mut entries = vec![
         ("bench".to_string(), Value::Str("scale".to_string())),
-        ("schema_version".to_string(), Value::Int(1)),
+        ("schema_version".to_string(), Value::Int(SCHEMA_VERSION)),
         (
             "speedup_floor_permille".to_string(),
             Value::Int(SPEEDUP_FLOOR_PERMILLE as i128),
@@ -488,7 +451,7 @@ pub fn validate_doc(doc: &Value) -> Result<(), String> {
         other => return Err(format!("bad bench name: {other:?}")),
     }
     match field(doc, "schema_version")? {
-        Value::Int(1) => {}
+        Value::Int(v) if *v == SCHEMA_VERSION => {}
         other => return Err(format!("bad schema_version: {other:?}")),
     }
     match field(doc, "speedup_floor_permille")? {
@@ -515,10 +478,8 @@ pub fn validate_doc(doc: &Value) -> Result<(), String> {
         }
         let timed = field(cell, "soa_micros").is_ok();
         if timed {
-            for key in ["threads", "soa_micros", "threaded_micros"] {
-                if int(key)? <= 0 {
-                    return Err(format!("{key} must be positive"));
-                }
+            if int("soa_micros")? <= 0 {
+                return Err("soa_micros must be positive".to_string());
             }
             if field(cell, "reference_micros").is_ok()
                 && (int("reference_micros")? <= 0 || int("speedup_permille")? == 0)
@@ -573,8 +534,11 @@ pub fn lint_committed(doc: &anonet_trace::json::JsonValue) -> Result<(), String>
     if str_field(doc, "bench")? != "scale" {
         return Err("bad bench name".to_string());
     }
-    if int_field(doc, "schema_version")? != 1 {
-        return Err("bad schema_version".to_string());
+    let version = int_field(doc, "schema_version")?;
+    if version != SCHEMA_VERSION {
+        return Err(format!(
+            "bad schema_version {version}: expected {SCHEMA_VERSION}"
+        ));
     }
     if int_field(doc, "speedup_floor_permille")? != SPEEDUP_FLOOR_PERMILLE as i128 {
         return Err(format!(
@@ -592,7 +556,7 @@ pub fn lint_committed(doc: &anonet_trace::json::JsonValue) -> Result<(), String>
     let mut best: Option<(i128, i128)> = None; // (n, speedup_permille)
     for cell in grid {
         let n = int_field(cell, "n")?;
-        for key in ["rounds", "deliveries", "interned", "soa_micros", "threaded_micros"] {
+        for key in ["rounds", "deliveries", "interned", "soa_micros"] {
             if int_field(cell, key)? <= 0 {
                 return Err(format!("cell n={n}: {key} must be positive"));
             }
@@ -631,14 +595,9 @@ mod tests {
     /// is release-only CI territory).
     fn tiny_cells() -> Vec<ScaleCell> {
         [
-            CellSpec {
-                n: 64,
-                threads: 2,
-                shared: true,
-            },
+            CellSpec { n: 64, shared: true },
             CellSpec {
                 n: 200,
-                threads: 2,
                 shared: false,
             },
         ]
@@ -651,7 +610,6 @@ mod tests {
     fn cells_run_validate_and_tabulate() {
         let cells = tiny_cells();
         assert!(cells.iter().all(|c| c.decision_round == c.horizon + 2));
-        assert_eq!(cells[0].threads, 2);
         assert!(cells[0].reference_micros.is_some());
         assert!(cells[1].reference_micros.is_none());
         for timings in [true, false] {
@@ -661,11 +619,10 @@ mod tests {
     }
 
     #[test]
-    fn no_timings_doc_is_thread_and_machine_free() {
+    fn no_timings_doc_is_machine_free() {
         let cells = tiny_cells();
         let doc = serde_json::to_string(&bench_doc(&cells, false)).expect("serializes");
         assert!(!doc.contains("micros"), "timings leaked: {doc}");
-        assert!(!doc.contains("threads"), "thread count leaked: {doc}");
         // Two runs of the same grid agree bit-for-bit once stripped.
         let again = serde_json::to_string(&bench_doc(&tiny_cells(), false)).expect("serializes");
         assert_eq!(doc, again);
@@ -685,14 +642,12 @@ mod tests {
     fn gates_judge_speedup_and_size() {
         let shared = ScaleCell {
             n: 100_000,
-            threads: 4,
             horizon: 10,
             decision_round: 12,
             rounds: 14,
             deliveries: 1,
             interned: 1,
             soa_micros: 100,
-            threaded_micros: 50,
             reference_micros: Some(1_000),
         };
         check_gates(std::slice::from_ref(&shared)).expect("10x passes");
@@ -723,6 +678,15 @@ mod tests {
             "unexpected lint error: {err}"
         );
 
+        // A version 1 document (the retired threaded-arm schema) is
+        // rejected before any cell is read.
+        let v1 = doc.replace("\"schema_version\":2", "\"schema_version\":1");
+        assert_ne!(v1, doc);
+        let parsed = JsonValue::parse(&v1).expect("still json");
+        assert!(lint_committed(&parsed)
+            .unwrap_err()
+            .contains("schema_version"));
+
         // Tampering with the decision bound is caught.
         let bad = doc.replace("\"decision_round\":", "\"decision_round\":1000000,\"x\":");
         let parsed = JsonValue::parse(&bad).expect("still json");
@@ -752,6 +716,18 @@ mod tests {
         }
         assert!(validate_doc(&bad).unwrap_err().contains("non-empty"));
 
+        for timings in [true, false] {
+            let mut v1 = bench_doc(&cells, timings);
+            if let Value::Object(entries) = &mut v1 {
+                for (k, v) in entries.iter_mut() {
+                    if k == "schema_version" {
+                        *v = Value::Int(1);
+                    }
+                }
+            }
+            assert!(validate_doc(&v1).unwrap_err().contains("schema_version"));
+        }
+
         // A timing-free doc must not carry the largest-shared summary.
         let mut bad = bench_doc(&cells, false);
         if let Value::Object(entries) = &mut bad {
@@ -767,14 +743,19 @@ mod tests {
 
     #[test]
     fn grids_scale_to_the_issue_targets() {
-        let smoke = grid_specs(Grid::Smoke, 4);
+        let smoke = grid_specs(Grid::Smoke);
         assert!(smoke.iter().any(|s| s.n == 100_000), "smoke must cover 10^5");
-        let full = grid_specs(Grid::Full, 4);
+        let full = grid_specs(Grid::Full);
         assert!(full.iter().any(|s| s.n == 1_000_000), "full must cover 10^6");
         assert!(full.iter().any(|s| s.shared && s.n == 100_000));
-        for spec in smoke.iter().chain(&full) {
-            assert_eq!(spec.threads, 4);
-            assert!(spec.id().starts_with("scale:n="));
-        }
+        assert_eq!(CellSpec { n: 1_000, shared: true }.id(), "scale:n=1000");
+        assert_eq!(
+            CellSpec {
+                n: 1_000_000,
+                shared: false
+            }
+            .id(),
+            "scale:n=1000000:soa-only"
+        );
     }
 }

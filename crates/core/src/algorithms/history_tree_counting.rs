@@ -8,7 +8,7 @@
 //! [`HistoryTreeLeader`] of `anonet-multigraph` — the tree is exactly the
 //! [`HistoryArena`](anonet_multigraph::HistoryArena) hash-cons the
 //! simulator already maintains, so tree nodes are interned 4-byte
-//! handles — in the same `run`/`run_traced`/`run_with_sink` surface as
+//! handles — in the same `run`/`run_with_sink` surface as
 //! [`KernelCounting`](super::KernelCounting), with the same typed
 //! [`CountingOutcome`]/[`CountingError`] results.
 //!
@@ -24,7 +24,7 @@
 
 use super::{CountingError, CountingOutcome, CountingTrace};
 use anonet_multigraph::history_tree::HistoryTreeLeader;
-use anonet_multigraph::simulate::simulate_threaded;
+use anonet_multigraph::simulate::simulate;
 use anonet_multigraph::DblMultigraph;
 use anonet_trace::{NullSink, RoundEvent, TraceSink};
 
@@ -50,30 +50,13 @@ use anonet_trace::{NullSink, RoundEvent, TraceSink};
 /// assert_eq!(outcome.rounds, pair.horizon + 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct HistoryTreeCounting {
-    threads: usize,
-}
-
-impl Default for HistoryTreeCounting {
-    fn default() -> HistoryTreeCounting {
-        HistoryTreeCounting::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HistoryTreeCounting;
 
 impl HistoryTreeCounting {
-    /// Creates the algorithm (serial round simulation).
+    /// Creates the algorithm.
     pub fn new() -> HistoryTreeCounting {
-        HistoryTreeCounting { threads: 1 }
-    }
-
-    /// Simulates rounds on `threads` worker threads. The emitted rounds
-    /// are byte-identical to the serial ones (the SoA engine's
-    /// determinism guarantee), so outcomes and traces do not depend on
-    /// the thread count.
-    pub fn with_threads(mut self, threads: usize) -> HistoryTreeCounting {
-        self.threads = threads.max(1);
-        self
+        HistoryTreeCounting
     }
 
     /// Runs the leader against the multigraph, observing one round at a
@@ -91,28 +74,15 @@ impl HistoryTreeCounting {
         m: &DblMultigraph,
         max_rounds: u32,
     ) -> Result<CountingOutcome, CountingError> {
-        self.run_traced(m, max_rounds).map(|(o, _)| o)
+        self.run_with_sink(m, max_rounds, &mut NullSink)
+            .map(|(o, _)| o)
     }
 
     /// Like [`HistoryTreeCounting::run`], also returning the per-round
     /// feasible population intervals (the leader's shrinking candidate
-    /// set).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HistoryTreeCounting::run`].
-    pub fn run_traced(
-        &self,
-        m: &DblMultigraph,
-        max_rounds: u32,
-    ) -> Result<(CountingOutcome, CountingTrace), CountingError> {
-        self.run_with_sink(m, max_rounds, &mut NullSink)
-    }
-
-    /// Like [`HistoryTreeCounting::run_traced`], additionally emitting
-    /// one [`RoundEvent`] per observed round to `sink`: the delivery
-    /// count (`deliveries`), the feasible population interval
-    /// (`candidate_lo`/`candidate_hi`) with its width
+    /// set) and emitting one [`RoundEvent`] per observed round to
+    /// `sink`: the delivery count (`deliveries`), the feasible population
+    /// interval (`candidate_lo`/`candidate_hi`) with its width
     /// (`candidate_count`), the cumulative number of distinct
     /// `(label, history)` delivery classes — the materialized
     /// history-tree frontier — as `state_size`, and the round's spine
@@ -137,7 +107,7 @@ impl HistoryTreeCounting {
         let mut trace = CountingTrace {
             candidate_ranges: Vec::new(),
         };
-        let exec = simulate_threaded(m, max_rounds as usize, self.threads);
+        let exec = simulate(m, max_rounds as usize);
         let mut leader = HistoryTreeLeader::new();
         for rounds in 1..=max_rounds {
             let round = &exec.rounds[rounds as usize - 1];
@@ -229,7 +199,7 @@ mod tests {
     fn trace_ranges_shrink_and_contain_truth() {
         let pair = TwinBuilder::new().build(40).unwrap();
         let (outcome, trace) = HistoryTreeCounting::new()
-            .run_traced(&pair.smaller, 32)
+            .run_with_sink(&pair.smaller, 32, &mut NullSink)
             .unwrap();
         assert_eq!(outcome.count, 40);
         let mut prev: Option<(i64, i64)> = None;
@@ -244,21 +214,14 @@ mod tests {
     }
 
     #[test]
-    fn traced_events_carry_the_spine_facet_and_threads_do_not_perturb() {
+    fn traced_events_carry_the_spine_facet() {
         use anonet_trace::MemorySink;
         let pair = TwinBuilder::new().build(40).unwrap();
-        let mut serial_sink = MemorySink::new();
-        let serial = HistoryTreeCounting::new()
-            .run_with_sink(&pair.smaller, 32, &mut serial_sink)
+        let mut sink = MemorySink::new();
+        HistoryTreeCounting::new()
+            .run_with_sink(&pair.smaller, 32, &mut sink)
             .unwrap();
-        let mut threaded_sink = MemorySink::new();
-        let threaded = HistoryTreeCounting::new()
-            .with_threads(4)
-            .run_with_sink(&pair.smaller, 32, &mut threaded_sink)
-            .unwrap();
-        assert_eq!(serial, threaded, "outcome and trace are thread-independent");
-        assert_eq!(serial_sink.events(), threaded_sink.events());
-        let events = serial_sink.events();
+        let events = sink.events();
         assert!(events.iter().all(|ev| ev.spine.is_some()));
         // The decision round is exactly the round the spine died.
         assert_eq!(events.last().unwrap().spine, Some(0));

@@ -196,28 +196,16 @@ impl KernelCounting {
         m: &DblMultigraph,
         max_rounds: u32,
     ) -> Result<CountingOutcome, CountingError> {
-        self.run_traced(m, max_rounds).map(|(o, _)| o)
+        self.run_with_sink(m, max_rounds, &mut NullSink)
+            .map(|(o, _)| o)
     }
 
     /// Like [`KernelCounting::run`], also returning the per-round feasible
-    /// population intervals (the leader's shrinking candidate set).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KernelCounting::run`].
-    pub fn run_traced(
-        &self,
-        m: &DblMultigraph,
-        max_rounds: u32,
-    ) -> Result<(CountingOutcome, CountingTrace), CountingError> {
-        self.run_with_sink(m, max_rounds, &mut NullSink)
-    }
-
-    /// Like [`KernelCounting::run_traced`], additionally emitting one
-    /// [`RoundEvent`] per observed round to `sink`: the feasible
-    /// population interval (`candidate_lo`/`candidate_hi`), the number of
-    /// feasible censuses on the affine line (`candidate_count`), the
-    /// kernel dimension of the observation system `M_r` (always 1 for
+    /// population intervals (the leader's shrinking candidate set) and
+    /// emitting one [`RoundEvent`] per observed round to `sink`: the
+    /// feasible population interval (`candidate_lo`/`candidate_hi`), the
+    /// number of feasible censuses on the affine line (`candidate_count`),
+    /// the kernel dimension of the observation system `M_r` (always 1 for
     /// `k = 2` by Lemma 3; *verified* per round when
     /// [`with_kernel_verification`](KernelCounting::with_kernel_verification)
     /// is on) and the size of the flat constant-terms vector `m_r`
@@ -410,7 +398,9 @@ mod tests {
     #[test]
     fn trace_ranges_shrink_and_contain_truth() {
         let pair = TwinBuilder::new().build(25).unwrap();
-        let (outcome, trace) = KernelCounting::new().run_traced(&pair.smaller, 32).unwrap();
+        let (outcome, trace) = KernelCounting::new()
+            .run_with_sink(&pair.smaller, 32, &mut NullSink)
+            .unwrap();
         assert_eq!(outcome.count, 25);
         let mut prev: Option<(i64, i64)> = None;
         for &(lo, hi) in &trace.candidate_ranges {
@@ -456,7 +446,9 @@ mod tests {
         use anonet_multigraph::system::solve_census;
         use anonet_multigraph::Observations;
         let pair = TwinBuilder::new().build(26).unwrap();
-        let (outcome, trace) = KernelCounting::new().run_traced(&pair.smaller, 32).unwrap();
+        let (outcome, trace) = KernelCounting::new()
+            .run_with_sink(&pair.smaller, 32, &mut NullSink)
+            .unwrap();
         assert_eq!(outcome.count, 26);
         for (i, &range) in trace.candidate_ranges.iter().enumerate() {
             let obs = Observations::observe(&pair.smaller, i + 1).unwrap();

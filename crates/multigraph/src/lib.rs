@@ -19,8 +19,8 @@
 //! * [`transform`] — the Lemma 1 reduction to `G(PD)_2` graphs (Figure 2);
 //! * [`soa`] — the struct-of-arrays round engine behind
 //!   [`simulate`](crate::simulate::simulate): flat `(label, state)`
-//!   delivery columns and a sort-free, node-parallel round step whose
-//!   output is byte-identical at every thread count.
+//!   delivery columns and a sort-free, allocation-free serial round
+//!   step.
 //!
 //! # Examples
 //!

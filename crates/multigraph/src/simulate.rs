@@ -110,20 +110,9 @@ impl Execution {
 /// the struct-of-arrays [`RoundEngine`](crate::soa::RoundEngine): no
 /// per-node `Vec` is built and no comparison sort runs — rounds are
 /// emitted directly in canonical order from a `(rank, label-set)`
-/// histogram. Equivalent to `simulate_threaded(m, rounds, 1)`.
+/// histogram.
 pub fn simulate(m: &DblMultigraph, rounds: usize) -> Execution {
-    simulate_threaded(m, rounds, 1)
-}
-
-/// [`simulate`] with the node-parallel phases of the round step run on
-/// up to `threads` workers (0 acts as 1).
-///
-/// The output — including raw [`HistoryId`] handle values and arena
-/// layout — is **byte-identical for every thread count**; see
-/// [`crate::soa`] for why. Parallelism pays off from roughly `n ≥ 10^4`;
-/// below that the engine runs its serial path.
-pub fn simulate_threaded(m: &DblMultigraph, rounds: usize, threads: usize) -> Execution {
-    let mut engine = RoundEngine::with_threads(m.nodes(), m.k(), threads);
+    let mut engine = RoundEngine::new(m.nodes(), m.k());
     let mut out = Vec::with_capacity(rounds);
     for r in 0..rounds {
         let mut cols = RoundColumns::with_capacity(m.edge_count(r));
@@ -424,16 +413,6 @@ mod tests {
         let reference = simulate_reference(&pair.smaller, 5);
         assert_eq!(engine, reference);
         assert_eq!(engine.arena.interned(), reference.arena.interned());
-    }
-
-    #[test]
-    fn threaded_simulation_is_byte_identical() {
-        let pair = TwinBuilder::new().build(40).unwrap();
-        let serial = simulate_threaded(&pair.smaller, 6, 1);
-        let threaded = simulate_threaded(&pair.smaller, 6, 4);
-        // Raw columns (not just resolved histories) must match.
-        assert_eq!(serial.rounds, threaded.rounds);
-        assert_eq!(serial.arena.interned(), threaded.arena.interned());
     }
 
     #[test]

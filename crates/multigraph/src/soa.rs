@@ -23,7 +23,7 @@
 //! lexicographic) order — their *rank* — and reduces the round step to:
 //!
 //! 1. **histogram** — count live nodes per `(rank, label-set)` pair
-//!    (`O(n)`, node-parallel; partial histograms merge by addition);
+//!    (`O(n)`);
 //! 2. **run emission** — walk ranks in order and emit each `(label,
 //!    state)` run with its multiplicity straight into the columns
 //!    (`O(E + ranks·2^k)`, no comparisons);
@@ -31,7 +31,7 @@
 //!    children in canonical order (ranks of depth `r+1` are exactly the
 //!    occupied pairs ordered by `(parent rank, mask)`, because mask
 //!    vectors compare lexicographically), then remap every live node's
-//!    state handle and rank (`O(n)`, node-parallel).
+//!    state handle and rank (`O(n)`).
 //!
 //! # Bulk levels
 //!
@@ -56,25 +56,20 @@
 //! placed next to its original leaves the columns exactly as a stable
 //! sort would.
 //!
-//! # Determinism
+//! # Serial by design
 //!
-//! Node-parallel phases use the same deterministic work-splitting scheme
-//! as the grid runner in `anonet-bench` (`docs/RUNNER.md`): the node range
-//! is split into fixed contiguous chunks, workers claim chunks from an
-//! atomic counter, and per-chunk results land in per-chunk slots that are
-//! merged in chunk order. Histogram merging is integer addition and the
-//! state remap is elementwise, so the engine's output — including raw
-//! arena handle values — is byte-identical at every thread count. The
-//! serial path runs the identical arithmetic; `threads(1)` and
-//! `threads(t)` agree bit for bit (property-tested, and re-asserted on
-//! the `exp_scale` grid by `scripts/check.sh`).
+//! The round step runs on one thread. A node-parallel split needs one
+//! `ranks × 2^k` histogram per worker; on the twin executions the rank
+//! space grows with the population, so merging those buffers costs as
+//! much as the `O(n)` scan, and splitting only the remap never beat
+//! this path on the committed `exp_scale` grid (`docs/SCALING.md`).
+//! Parallelism lives one level up, across independent grid cells
+//! (`docs/RUNNER.md`).
 
 use crate::history::{HistoryArena, HistoryId};
 use crate::label::LabelSet;
 use crate::multigraph::DblMultigraph;
 use crate::simulate::Delivery;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Largest `k` for which the engine uses the dense `(rank, label-set)`
 /// histogram (`2^k - 1 ≤ 63` columns per rank). Larger `k` falls back to
@@ -99,13 +94,6 @@ fn pair_slot(rank: u32, nsets: usize, mask: u32) -> usize {
     );
     rank as usize * nsets + mask - 1
 }
-
-/// Node count below which parallel phases are not worth spawning for.
-const PAR_MIN_NODES: usize = 4096;
-
-/// Nodes per parallel work chunk (the fixed work-splitting grain; see
-/// the module docs on determinism).
-const CHUNK_NODES: usize = 8192;
 
 /// One round of leader deliveries as flat struct-of-arrays columns, in
 /// canonical `(label, history)` order.
@@ -337,7 +325,6 @@ pub struct RoundEngine {
     k: u8,
     /// `2^k - 1` on the dense path, 0 on the generic (large-`k`) path.
     nsets: usize,
-    threads: usize,
     /// Per node: the current state handle (frozen once crashed).
     states: Vec<HistoryId>,
     /// Per node: the canonical rank of its state among `ids_by_rank`
@@ -359,19 +346,11 @@ pub struct RoundEngine {
     /// Next-depth `ids_by_rank`, filled by the bulk intern and swapped
     /// in.
     next_ids: Vec<HistoryId>,
-    /// Per-chunk partial histograms, reused across rounds.
-    chunk_counts: Vec<Vec<u64>>,
 }
 
 impl RoundEngine {
-    /// A serial engine for `n` nodes and label budget `k`.
+    /// An engine for `n` nodes and label budget `k`.
     pub fn new(n: usize, k: u8) -> RoundEngine {
-        RoundEngine::with_threads(n, k, 1)
-    }
-
-    /// An engine running its node-parallel phases on up to `threads`
-    /// workers (0 acts as 1). Output is byte-identical for every value.
-    pub fn with_threads(n: usize, k: u8, threads: usize) -> RoundEngine {
         let nsets = if k <= MAX_DENSE_K {
             (1usize << k) - 1
         } else {
@@ -381,7 +360,6 @@ impl RoundEngine {
             arena: HistoryArena::new(),
             k,
             nsets,
-            threads: threads.max(1),
             states: vec![HistoryArena::empty(); n],
             node_rank: vec![0; n],
             ids_by_rank: vec![HistoryArena::empty()],
@@ -391,7 +369,6 @@ impl RoundEngine {
             hist_round: None,
             rank_of: Vec::new(),
             next_ids: Vec::new(),
-            chunk_counts: Vec::new(),
         }
     }
 
@@ -523,8 +500,7 @@ impl RoundEngine {
         // The occupied (rank, set) pairs, in slot order, are the next
         // depth's ranks — and, since ranks follow handle order, strictly
         // increasing (parent, mask) pairs whose parents are the arena's
-        // deepest histories. So they intern as one bulk level, serially,
-        // and handle values never depend on the thread count.
+        // deepest histories. So they intern as one bulk level.
         self.rank_of.clear();
         self.rank_of.resize(self.pair_counts.len(), u32::MAX);
         let mut next_rank = 0u32;
@@ -548,125 +524,34 @@ impl RoundEngine {
                 (ids[idx / nsets], set)
             });
         self.arena.intern_level(pairs, &mut self.next_ids);
-        // Remap every live node — elementwise, so chunk-parallel.
-        let n = self.nodes();
-        let threads = self.threads.min(n.div_ceil(CHUNK_NODES)).max(1);
-        if threads <= 1 || n < PAR_MIN_NODES {
-            for node in 0..n {
-                if !self.alive[node] {
-                    continue;
-                }
-                let idx = pair_slot(self.node_rank[node], nsets, m.label_set(r, node).mask());
-                self.node_rank[node] = self.rank_of[idx];
-                self.states[node] = self.next_ids[self.rank_of[idx] as usize];
+        // Remap every live node's rank and state handle.
+        for node in 0..self.nodes() {
+            if !self.alive[node] {
+                continue;
             }
-        } else {
-            let next_ids = &self.next_ids;
-            let rank_of = &self.rank_of;
-            let alive = &self.alive;
-            /// One remap work chunk: its base node index plus the
-            /// chunk's slices of the state and rank columns.
-            type RemapSlot<'a> = Mutex<(usize, &'a mut [HistoryId], &'a mut [u32])>;
-            let slots: Vec<RemapSlot> = self
-                .states
-                .chunks_mut(CHUNK_NODES)
-                .zip(self.node_rank.chunks_mut(CHUNK_NODES))
-                .enumerate()
-                .map(|(i, (st, nr))| Mutex::new((i * CHUNK_NODES, st, nr)))
-                .collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(i) else { break };
-                        let mut guard = slot.lock().expect("chunk slot never poisoned");
-                        let (base, states, ranks) = &mut *guard;
-                        for off in 0..states.len() {
-                            let node = *base + off;
-                            if !alive[node] {
-                                continue;
-                            }
-                            let idx =
-                                pair_slot(ranks[off], nsets, m.label_set(r, node).mask());
-                            ranks[off] = rank_of[idx];
-                            states[off] = next_ids[rank_of[idx] as usize];
-                        }
-                    });
-                }
-            });
+            let idx = pair_slot(self.node_rank[node], nsets, m.label_set(r, node).mask());
+            self.node_rank[node] = self.rank_of[idx];
+            self.states[node] = self.next_ids[self.rank_of[idx] as usize];
         }
         std::mem::swap(&mut self.ids_by_rank, &mut self.next_ids);
         self.hist_round = None;
     }
 
     /// Fills `pair_counts` with round `r`'s live `(rank, set)` histogram
-    /// unless it is already current. Partial per-chunk histograms merge
-    /// by addition, making the result independent of the chunking.
+    /// unless it is already current.
     fn ensure_histogram(&mut self, m: &DblMultigraph, r: usize) {
         if self.hist_round == Some(r) {
             return;
         }
         let nsets = self.nsets;
-        let width = self.ids_by_rank.len() * nsets;
         self.pair_counts.clear();
-        self.pair_counts.resize(width, 0);
-        let n = self.nodes();
-        let chunks = n.div_ceil(CHUNK_NODES.max(1)).max(1);
-        let threads = self.threads.min(chunks);
-        // Each worker chunk accumulates into its own `width`-sized
-        // buffer, so the zero+merge work is `O(width × chunks)`. When
-        // the rank space is as large as the population (the twin
-        // executions at scale) that swamps the `O(n)` scan — fall back
-        // to the serial scan, which is bit-identical anyway.
-        let merge_dominates = width.saturating_mul(chunks) > n;
-        if threads <= 1 || n < PAR_MIN_NODES || merge_dominates {
-            for node in 0..n {
-                if !self.alive[node] {
-                    continue;
-                }
-                let idx = pair_slot(self.node_rank[node], nsets, m.label_set(r, node).mask());
-                self.pair_counts[idx] += 1;
+        self.pair_counts.resize(self.ids_by_rank.len() * nsets, 0);
+        for node in 0..self.nodes() {
+            if !self.alive[node] {
+                continue;
             }
-        } else {
-            self.chunk_counts.resize_with(chunks, Vec::new);
-            let alive = &self.alive;
-            let node_rank = &self.node_rank;
-            let slots: Vec<Mutex<(usize, &mut Vec<u64>)>> = self
-                .chunk_counts
-                .iter_mut()
-                .enumerate()
-                .map(|(i, buf)| Mutex::new((i, buf)))
-                .collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(i) else { break };
-                        let mut guard = slot.lock().expect("chunk slot never poisoned");
-                        let (chunk, buf) = &mut *guard;
-                        buf.clear();
-                        buf.resize(width, 0);
-                        let lo = *chunk * CHUNK_NODES;
-                        let hi = (lo + CHUNK_NODES).min(n);
-                        for node in lo..hi {
-                            if !alive[node] {
-                                continue;
-                            }
-                            let idx =
-                                pair_slot(node_rank[node], nsets, m.label_set(r, node).mask());
-                            buf[idx] += 1;
-                        }
-                    });
-                }
-            });
-            // Merge in chunk order (addition — chunking-invariant).
-            for buf in &self.chunk_counts[..chunks] {
-                for (total, part) in self.pair_counts.iter_mut().zip(buf) {
-                    *total += part;
-                }
-            }
+            let idx = pair_slot(self.node_rank[node], nsets, m.label_set(r, node).mask());
+            self.pair_counts[idx] += 1;
         }
         self.hist_round = Some(r);
     }

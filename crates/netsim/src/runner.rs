@@ -11,27 +11,7 @@ use anonet_trace::{NullSink, RoundEvent, TraceSink};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Nodes per work chunk of the threaded receive phase (the fixed
-/// work-splitting grain — see `docs/SCALING.md`).
-const CHUNK_NODES: usize = 8192;
-
-/// A per-`(seed, round, node)` RNG for inbox shuffling on the threaded
-/// path: a splitmix64-style mix, so the shuffle of one inbox never
-/// depends on which worker handled which node (byte-identical at every
-/// thread count).
-fn node_rng(seed: u64, round: u32, node: usize) -> StdRng {
-    let mut z = seed
-        ^ (u64::from(round) << 32)
-        ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
-}
-
-/// Per-round execution statistics collected by [`Simulator::run_traced`].
+/// Per-round execution statistics collected by [`Simulator::run_with_sink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundStats {
     /// The absolute round index.
@@ -93,7 +73,6 @@ pub struct Simulator<N> {
     degree_oracle: bool,
     shuffle_seed: Option<u64>,
     next_round: u32,
-    threads: usize,
 }
 
 impl<N: DynamicNetwork> Simulator<N> {
@@ -104,17 +83,7 @@ impl<N: DynamicNetwork> Simulator<N> {
             degree_oracle: false,
             shuffle_seed: None,
             next_round: 0,
-            threads: 1,
         }
-    }
-
-    /// Sets the worker count for [`Simulator::run_threaded`] and friends
-    /// (0 acts as 1). The threaded runner's output is byte-identical at
-    /// every thread count; the plain [`Simulator::run`] entry points
-    /// stay serial regardless of this setting.
-    pub fn with_threads(mut self, threads: usize) -> Simulator<N> {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Enables the local degree detector oracle of \[13\]: processes learn
@@ -152,24 +121,11 @@ impl<N: DynamicNetwork> Simulator<N> {
     ///
     /// Panics if `procs.len()` differs from the network's order.
     pub fn run<P: Process>(&mut self, procs: &mut [P], max_rounds: u32) -> RunReport {
-        self.run_traced(procs, max_rounds).0
+        self.run_with_sink(procs, max_rounds, &mut NullSink).0
     }
 
     /// Like [`Simulator::run`], additionally recording per-round
-    /// statistics (delivery counts, inbox sizes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `procs.len()` differs from the network's order.
-    pub fn run_traced<P: Process>(
-        &mut self,
-        procs: &mut [P],
-        max_rounds: u32,
-    ) -> (RunReport, Vec<RoundStats>) {
-        self.run_with_sink(procs, max_rounds, &mut NullSink)
-    }
-
-    /// Like [`Simulator::run_traced`], additionally emitting one
+    /// statistics (delivery counts, inbox sizes) and emitting one
     /// [`RoundEvent`] per executed round to `sink` (with the absolute
     /// round index, the delivery count, the maximum inbox size, the
     /// leader's inbox size, and the round's live `connections` — the
@@ -310,215 +266,6 @@ impl<N: DynamicNetwork> Simulator<N> {
             stats,
         )
     }
-
-    /// [`Simulator::run`] on the node-parallel receive path, using the
-    /// worker count set by [`Simulator::with_threads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `procs.len()` differs from the network's order.
-    pub fn run_threaded<P>(&mut self, procs: &mut [P], max_rounds: u32) -> RunReport
-    where
-        P: Process + Send,
-        P::Msg: Send + Sync,
-    {
-        self.run_with_sink_threaded(procs, max_rounds, &mut NullSink).0
-    }
-
-    /// [`Simulator::run_traced`] on the node-parallel receive path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `procs.len()` differs from the network's order.
-    pub fn run_traced_threaded<P>(
-        &mut self,
-        procs: &mut [P],
-        max_rounds: u32,
-    ) -> (RunReport, Vec<RoundStats>)
-    where
-        P: Process + Send,
-        P::Msg: Send + Sync,
-    {
-        self.run_with_sink_threaded(procs, max_rounds, &mut NullSink)
-    }
-
-    /// [`Simulator::run_with_sink`] on the node-parallel receive path.
-    ///
-    /// The node range is split into fixed contiguous chunks; workers
-    /// claim chunks from an atomic counter and per-chunk statistics are
-    /// merged in chunk order — the same deterministic work-splitting
-    /// scheme as the experiment grid runner (`docs/RUNNER.md`), so the
-    /// report, the stats, every trace event and every process state are
-    /// **byte-identical at every thread count**.
-    ///
-    /// One deliberate divergence from the serial path: with
-    /// [`Simulator::shuffle_inboxes`] enabled, each inbox is shuffled by
-    /// an RNG derived from `(seed, round, node)` instead of one
-    /// sequential RNG walked in node order (which would make node `v`'s
-    /// shuffle depend on all earlier inbox sizes — unparallelizable).
-    /// Shuffled runs are therefore deterministic per seed on each path
-    /// but differ *between* the serial and threaded paths; unshuffled
-    /// runs agree everywhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `procs.len()` differs from the network's order.
-    pub fn run_with_sink_threaded<P, S>(
-        &mut self,
-        procs: &mut [P],
-        max_rounds: u32,
-        sink: &mut S,
-    ) -> (RunReport, Vec<RoundStats>)
-    where
-        P: Process + Send,
-        P::Msg: Send + Sync,
-        S: TraceSink,
-    {
-        let n = self.net.order();
-        assert_eq!(
-            procs.len(),
-            n,
-            "need exactly one process per node ({} != {n})",
-            procs.len()
-        );
-        let mut deliveries = 0u64;
-        let mut stats = Vec::new();
-
-        if let Some(out) = procs[0].output() {
-            sink.flush();
-            return (
-                RunReport {
-                    rounds: 0,
-                    leader_output: Some((out, self.next_round)),
-                    deliveries,
-                },
-                stats,
-            );
-        }
-
-        let first = self.next_round;
-        let mut msgs: Vec<P::Msg> = Vec::new();
-        for round in first..first.saturating_add(max_rounds) {
-            self.next_round = round + 1;
-            let graph = self.net.graph(round);
-            debug_assert_eq!(graph.order(), n, "adversary changed the node set");
-
-            // Send phase (serial: one cheap call per node).
-            msgs.clear();
-            msgs.extend(procs.iter_mut().enumerate().map(|(v, p)| {
-                let ctx = SendContext {
-                    round,
-                    degree: self.degree_oracle.then(|| graph.degree(v) as u32),
-                };
-                p.send(&ctx)
-            }));
-
-            // Receive phase: chunks of nodes claimed from an atomic
-            // counter; per-chunk (deliveries, max_inbox) land in the
-            // chunk's slot and merge in chunk order below.
-            struct ChunkSlot<'a, P> {
-                base: usize,
-                procs: &'a mut [P],
-                deliveries: u64,
-                max_inbox: usize,
-            }
-            let slots: Vec<Mutex<ChunkSlot<'_, P>>> = procs
-                .chunks_mut(CHUNK_NODES)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    Mutex::new(ChunkSlot {
-                        base: i * CHUNK_NODES,
-                        procs: chunk,
-                        deliveries: 0,
-                        max_inbox: 0,
-                    })
-                })
-                .collect();
-            let workers = self.threads.min(slots.len()).max(1);
-            let next = AtomicUsize::new(0);
-            let shuffle_seed = self.shuffle_seed;
-            let graph_ref = &graph;
-            let msgs_ref = &msgs;
-            std::thread::scope(|scope| {
-                let work = || {
-                    let mut inbox: Vec<P::Msg> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(i) else { break };
-                        let mut guard = slot.lock().expect("chunk slot never poisoned");
-                        let slot = &mut *guard;
-                        for (off, p) in slot.procs.iter_mut().enumerate() {
-                            let v = slot.base + off;
-                            inbox.clear();
-                            inbox.extend(
-                                graph_ref.neighbors(v).iter().map(|&u| msgs_ref[u].clone()),
-                            );
-                            if let Some(seed) = shuffle_seed {
-                                inbox.shuffle(&mut node_rng(seed, round, v));
-                            }
-                            slot.deliveries += inbox.len() as u64;
-                            slot.max_inbox = slot.max_inbox.max(inbox.len());
-                            p.receive(RecvContext {
-                                round,
-                                inbox: &inbox,
-                            });
-                        }
-                    }
-                };
-                if workers <= 1 {
-                    work();
-                } else {
-                    for _ in 0..workers {
-                        scope.spawn(work);
-                    }
-                }
-            });
-            let mut round_deliveries = 0u64;
-            let mut max_inbox = 0usize;
-            for slot in &slots {
-                let slot = slot.lock().expect("chunk slot never poisoned");
-                round_deliveries += slot.deliveries;
-                max_inbox = max_inbox.max(slot.max_inbox);
-            }
-            drop(slots);
-            deliveries += round_deliveries;
-            stats.push(RoundStats {
-                round,
-                deliveries: round_deliveries,
-                max_inbox,
-                leader_inbox: graph.degree(0),
-            });
-            sink.record(
-                &RoundEvent::new(round)
-                    .deliveries(round_deliveries)
-                    .max_inbox(max_inbox as u64)
-                    .leader_inbox(graph.degree(0) as u64)
-                    .connections(graph.size() as u64),
-            );
-
-            if let Some(out) = procs[0].output() {
-                sink.flush();
-                return (
-                    RunReport {
-                        rounds: round + 1 - first,
-                        leader_output: Some((out, round)),
-                        deliveries,
-                    },
-                    stats,
-                );
-            }
-        }
-
-        sink.flush();
-        (
-            RunReport {
-                rounds: max_rounds,
-                leader_output: None,
-                deliveries,
-            },
-            stats,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -585,11 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn run_traced_collects_round_stats() {
+    fn run_with_sink_collects_round_stats() {
         let net = GraphSequence::constant(Graph::star(4).unwrap());
         let mut sim = Simulator::new(net);
         let mut procs = RoundCounter::population(4);
-        let (report, stats) = sim.run_traced(&mut procs, 10);
+        let (report, stats) = sim.run_with_sink(&mut procs, 10, &mut NullSink);
         assert_eq!(report.rounds, 3);
         assert_eq!(stats.len(), 3);
         for (i, s) in stats.iter().enumerate() {
@@ -667,64 +414,6 @@ mod tests {
         let mut oracle = Simulator::new(net).with_degree_oracle();
         let mut procs = mk();
         assert_eq!(oracle.run(&mut procs, 4).output(), Some(1));
-    }
-
-    #[test]
-    fn threaded_run_is_byte_identical_across_thread_counts() {
-        // Unshuffled: serial, threaded(1) and threaded(4) must agree on
-        // the report, the stats and every process state.
-        let run = |threads: Option<usize>| {
-            let net = GraphSequence::constant(Graph::star(64).unwrap());
-            let mut sim = Simulator::new(net);
-            let mut procs = RoundCounter::population(64);
-            let out = match threads {
-                None => sim.run_traced(&mut procs, 10),
-                Some(t) => {
-                    sim = sim.with_threads(t);
-                    sim.run_traced_threaded(&mut procs, 10)
-                }
-            };
-            let heard: Vec<u64> = procs.iter().map(|p| p.heard).collect();
-            (out, heard)
-        };
-        let serial = run(None);
-        assert_eq!(serial, run(Some(1)));
-        assert_eq!(serial, run(Some(4)));
-    }
-
-    #[test]
-    fn threaded_shuffle_is_thread_count_invariant() {
-        #[derive(Clone, PartialEq, Debug)]
-        struct Logger {
-            id: u64,
-            log: Vec<u64>,
-        }
-        impl Process for Logger {
-            type Msg = u64;
-            fn send(&mut self, _ctx: &SendContext) -> u64 {
-                self.id
-            }
-            fn receive(&mut self, ctx: RecvContext<'_, u64>) {
-                self.log.extend_from_slice(ctx.inbox);
-            }
-        }
-        let run = |threads: usize| {
-            let net = GraphSequence::constant(Graph::complete(12));
-            let mut sim = Simulator::new(net)
-                .shuffle_inboxes(7)
-                .with_threads(threads);
-            let mut procs: Vec<Logger> = (0..12)
-                .map(|id| Logger {
-                    id,
-                    log: Vec::new(),
-                })
-                .collect();
-            sim.run_threaded(&mut procs, 3);
-            procs
-        };
-        // The per-(seed, round, node) RNG makes shuffled runs identical
-        // no matter how nodes are distributed over workers.
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

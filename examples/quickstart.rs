@@ -6,6 +6,7 @@
 use anonet::core::algorithms::KernelCounting;
 use anonet::core::bounds;
 use anonet::multigraph::adversary::TwinBuilder;
+use anonet::netsim::trace::NullSink;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: u64 = std::env::args()
@@ -29,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. The optimal leader algorithm counts by solving the observation
     //    system m_r = M_r s_r each round and deciding once the
     //    non-negative solution is unique.
-    let (outcome, trace) = KernelCounting::new().run_traced(&pair.smaller, 64)?;
+    let (outcome, trace) =
+        KernelCounting::new().run_with_sink(&pair.smaller, 64, &mut NullSink)?;
     println!("\nleader's candidate population range per round:");
     for (r, (lo, hi)) in trace.candidate_ranges.iter().enumerate() {
         println!("  after round {r}: [{lo}, {hi}]");

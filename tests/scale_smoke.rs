@@ -1,12 +1,12 @@
 //! A large-`n` end-to-end smoke execution: the struct-of-arrays round
 //! engine drives the worst-case `n = 10^4` twin execution, the online
-//! leader decides the exact count at the paper's tight bound, and the
-//! threaded engine reproduces the serial bytes. The `10^5`-and-up sizes
+//! leader decides the exact count at the paper's tight bound. The
+//! `10^5`-and-up sizes
 //! run release-only via `exp_scale` (see `docs/SCALING.md`); this is
 //! the debug-profile tier-1 guard for the same path.
 
 use anonet::multigraph::adversary::TwinBuilder;
-use anonet::multigraph::simulate::{simulate_threaded, OnlineLeader};
+use anonet::multigraph::simulate::{simulate, OnlineLeader};
 
 #[test]
 fn ten_thousand_node_twin_decides_at_the_tight_bound() {
@@ -15,13 +15,7 @@ fn ten_thousand_node_twin_decides_at_the_tight_bound() {
     assert_eq!(pair.horizon, 8, "closed-form horizon for n = 10^4");
 
     let rounds = pair.horizon as usize + 4;
-    let exec = simulate_threaded(&pair.smaller, rounds, 1);
-    let par = simulate_threaded(&pair.smaller, rounds, 4);
-    assert_eq!(
-        exec.rounds, par.rounds,
-        "threaded run must be byte-identical to serial"
-    );
-    assert_eq!(exec.arena.interned(), par.arena.interned());
+    let exec = simulate(&pair.smaller, rounds);
 
     let mut leader = OnlineLeader::new();
     let mut decided = None;

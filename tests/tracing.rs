@@ -1,6 +1,6 @@
 //! The tracing layer agrees with the untraced APIs on fixed-seed runs:
-//! sinks observe exactly the statistics that `run_traced`/`RunReport`
-//! return, and JSONL round-trips losslessly.
+//! sinks observe exactly the statistics that `run_with_sink`'s
+//! `RoundStats`/`RunReport` return, and JSONL round-trips losslessly.
 
 use anonet::core::algorithms::{run_degree_oracle, GeneralKCounting, KernelCounting};
 use anonet::core::bounds;
@@ -8,7 +8,7 @@ use anonet::graph::generators::RandomDynamic;
 use anonet::multigraph::adversary::{RandomDblAdversary, TwinBuilder};
 use anonet::multigraph::transform;
 use anonet::netsim::protocols::FloodingProcess;
-use anonet::netsim::trace::{JsonlSink, MemorySink, RoundEvent, TraceSink};
+use anonet::netsim::trace::{JsonlSink, MemorySink, NullSink, RoundEvent, TraceSink};
 use anonet::netsim::Simulator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,7 +22,7 @@ fn memory_sink_matches_run_traced_stats() {
     // Two identical fixed-seed simulations: one traced via RoundStats,
     // one via a MemorySink. Every per-round statistic must agree.
     let mut procs = FloodingProcess::population(12);
-    let (report, stats) = fixed_seed_sim().run_traced(&mut procs, 8);
+    let (report, stats) = fixed_seed_sim().run_with_sink(&mut procs, 8, &mut NullSink);
 
     let mut procs = FloodingProcess::population(12);
     let mut sink = MemorySink::new();
