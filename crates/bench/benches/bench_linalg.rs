@@ -1,9 +1,9 @@
 //! Benchmarks for the exact linear-algebra substrate.
 
-use anonet_linalg::{
-    gauss, CrtKernelTracker, KernelTracker, Matrix, ModpKernelTracker, Ratio, SolverBackend,
-};
-use anonet_multigraph::system::{self, ObservationKernel};
+use anonet_bench::experiments::linalg_scaling::{mr_levels, push_mr_level};
+use anonet_bench::experiments::modp_scaling::push_modp_level;
+use anonet_linalg::{gauss, CrtKernelTracker, KernelTracker, Matrix, ModpKernelTracker, Ratio};
+use anonet_multigraph::system;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,11 +68,12 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
                 }
             })
         });
-        g.bench_with_input(BenchmarkId::new("incremental", r), &r, |b, &r| {
+        let levels = mr_levels(r);
+        g.bench_with_input(BenchmarkId::new("incremental", r), &levels, |b, levels| {
             b.iter(|| {
-                let mut k = ObservationKernel::new();
-                for _ in 0..=r {
-                    k.push_round().expect("push");
+                let mut k = KernelTracker::new(1);
+                for rows in levels {
+                    push_mr_level(&mut k, rows);
                     black_box(k.nullity());
                 }
             })
@@ -113,20 +114,21 @@ fn bench_modp_tracker(c: &mut Criterion) {
     let mut g = c.benchmark_group("modp_trajectory_M_r");
     g.sample_size(10);
     for r in [2usize, 3, 4] {
-        g.bench_with_input(BenchmarkId::new("exact", r), &r, |b, &r| {
+        let levels = mr_levels(r);
+        g.bench_with_input(BenchmarkId::new("exact", r), &levels, |b, levels| {
             b.iter(|| {
-                let mut k = ObservationKernel::new();
-                for _ in 0..=r {
-                    k.push_round().expect("push");
+                let mut k = KernelTracker::new(1);
+                for rows in levels {
+                    push_mr_level(&mut k, rows);
                     black_box(k.nullity());
                 }
             })
         });
-        g.bench_with_input(BenchmarkId::new("modp", r), &r, |b, &r| {
+        g.bench_with_input(BenchmarkId::new("modp", r), &levels, |b, levels| {
             b.iter(|| {
-                let mut k = ObservationKernel::with_backend(SolverBackend::ModpCertified);
-                for _ in 0..=r {
-                    k.push_round().expect("push");
+                let mut k = ModpKernelTracker::new(1);
+                for rows in levels {
+                    push_modp_level(&mut k, rows);
                     black_box(k.nullity());
                 }
             })
@@ -206,8 +208,8 @@ fn bench_fused_vs_scalar(c: &mut Criterion) {
 }
 
 fn bench_crt_tracker(c: &mut Criterion) {
-    // Three-lane maintenance plus decision-time CRT certification,
-    // against the one-lane tracker it replaces the exact replay of.
+    // Three-lane maintenance plus on-demand CRT certification, against
+    // the one-lane tracker.
     let mut g = c.benchmark_group("crt_vs_modp_trajectory");
     g.sample_size(10);
     for n in [500usize, 2_000] {

@@ -12,11 +12,10 @@
 //!   `PATH` and, on resume, replay it instead of re-timing (see
 //!   `docs/RUNNER.md`);
 //! * `--inject-panic N` / `ANONET_FAIL_CELL=N` — fault-injection hook;
-//! * `--threads N` — worker count for the fast cells' un-timed
-//!   batch-eliminator determinism check (timed arms stay serial);
 //! * `--no-timings` — omit every wall-clock field from the document,
-//!   leaving only deterministic facts (rank, echelon digest), so runs
-//!   at different thread counts emit byte-identical documents;
+//!   leaving only deterministic facts (rank, echelon digest), so every
+//!   run emits a byte-identical document (`scripts/check.sh` compares
+//!   the smoke grid's against `tests/golden/exp_modp_scaling_smoke.json`);
 //! * `--lint-checkpoint PATH` — validate a journal and exit;
 //! * `--lint-bench PATH` — re-parse and gate a committed
 //!   `BENCH_modp.json` and exit.
@@ -85,7 +84,7 @@ fn main() {
     let out_flag = arg_value(&args, "--out");
 
     let cfg = GridConfig::from_args(&args);
-    let specs = grid_specs(grid, cfg.threads.max(1));
+    let specs = grid_specs(grid);
     let ids: Vec<String> = specs.iter().map(CellSpec::id).collect();
     let result = match run_serial_checkpointed(&ids, &cfg, cell_payload, cell_from_payload, |i| {
         specs[i].run()

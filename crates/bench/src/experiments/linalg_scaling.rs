@@ -7,9 +7,10 @@
 //!   [`gauss::kernel_basis`](anonet_linalg::gauss::kernel_basis) from
 //!   scratch after every append (the reference path; total work is
 //!   quadratic in the number of appended rows);
-//! * **incremental** — keep a [`KernelTracker`] (or its paper-system
-//!   wrapper [`ObservationKernel`]) and reduce only the new rows against
-//!   the stored echelon, one row-reduction per append.
+//! * **incremental** — keep a [`KernelTracker`] and reduce only the new
+//!   rows against the stored echelon, one row-reduction per append (for
+//!   `M_r`, each round widens the columns and appends the rows of
+//!   [`GeneralSystem::level_rows`]).
 //!
 //! Two cell families cover the `(n, r)` grid:
 //!
@@ -30,7 +31,8 @@
 
 use anonet_core::experiment::Table;
 use anonet_linalg::{gauss, KernelTracker, Matrix, Ratio};
-use anonet_multigraph::system::{self, ObservationKernel};
+use anonet_multigraph::system;
+use anonet_multigraph::system_k::GeneralSystem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
@@ -84,6 +86,24 @@ fn time_micros(reps: usize, mut f: impl FnMut()) -> u64 {
     best.max(1)
 }
 
+/// The sparse rows each round `0..=r` appends to `M_r`, generated up front
+/// so the timed loops only widen and append.
+pub fn mr_levels(r: usize) -> Vec<Vec<Vec<(usize, i64)>>> {
+    let sys = GeneralSystem::new(2).expect("k = 2 is supported");
+    (0..=r)
+        .map(|level| sys.level_rows(level).expect("M_r within budget"))
+        .collect()
+}
+
+/// One round of `M_r` on the exact tracker: every history splits into its
+/// three extensions, then the level's connection rows are appended.
+pub fn push_mr_level(t: &mut KernelTracker, rows: &[Vec<(usize, i64)>]) {
+    t.extend_columns(3).expect("widen M_r columns");
+    for row in rows {
+        t.append_row_sparse_i64(row).expect("append M_r row");
+    }
+}
+
 /// The paper-system family: maintain `M_0 ⊂ M_1 ⊂ … ⊂ M_r`.
 fn mr_cell(r: usize) -> ScalingCell {
     let dense: Vec<Matrix> = (0..=r)
@@ -95,16 +115,18 @@ fn mr_cell(r: usize) -> ScalingCell {
         })
         .collect();
 
+    let levels = mr_levels(r);
+
     // Un-timed equivalence gate: the incremental kernel must be
     // bit-identical to the batch kernel at the final round.
-    let mut kernel = ObservationKernel::new();
-    for _ in 0..=r {
-        kernel.push_round().expect("push M_r round");
+    let mut kernel = KernelTracker::new(1);
+    for rows in &levels {
+        push_mr_level(&mut kernel, rows);
     }
     let batch_kernel =
         gauss::kernel_basis(dense.last().expect("non-empty trajectory")).expect("batch kernel");
     assert_eq!(
-        kernel.tracker().kernel_basis().expect("incremental kernel"),
+        kernel.kernel_basis().expect("incremental kernel"),
         batch_kernel,
         "M_{r}: incremental and batch kernels must be bit-identical"
     );
@@ -118,11 +140,11 @@ fn mr_cell(r: usize) -> ScalingCell {
         black_box(sink);
     });
     let incremental = time_micros(reps, || {
-        let mut k = ObservationKernel::new();
+        let mut k = KernelTracker::new(1);
         let mut sink = 0u64;
-        for _ in 0..=r {
-            k.push_round().expect("push M_r round");
-            sink ^= k.tracker().kernel_basis().expect("incremental kernel").len() as u64;
+        for rows in &levels {
+            push_mr_level(&mut k, rows);
+            sink ^= k.kernel_basis().expect("incremental kernel").len() as u64;
         }
         black_box(sink);
     });

@@ -3,9 +3,8 @@
 //! Times the two incremental rank/nullity watchers the counting
 //! algorithms can run per round:
 //!
-//! * **exact** — the rational [`KernelTracker`] (or its paper-system
-//!   wrapper [`ObservationKernel`]), reducing each appended row with
-//!   exact [`Ratio`](anonet_linalg::Ratio) arithmetic;
+//! * **exact** — the rational [`KernelTracker`], reducing each appended
+//!   row with exact [`Ratio`](anonet_linalg::Ratio) arithmetic;
 //! * **modp** — the [`ModpKernelTracker`] over the fixed 62-bit prime
 //!   field `F_P`, `P = 2^62 − 57`, doing the same forward elimination in
 //!   branch-free `u64` Montgomery arithmetic.
@@ -13,7 +12,8 @@
 //! Three cell families cover the `(n, r)` grid:
 //!
 //! * `M_r` — the paper's observation system maintained across rounds
-//!   `0..=r`;
+//!   `0..=r` (each round widens the columns and appends the rows of
+//!   [`GeneralSystem::level_rows`](anonet_multigraph::system_k::GeneralSystem::level_rows));
 //! * `random` — seeded low-rank append trajectories of `n` rows over
 //!   `3^r` columns (same construction as `exp_linalg_scaling`);
 //! * `fast` — the same construction at `n` up to `10^5`, timing the
@@ -28,10 +28,10 @@
 //! exact arm would dominate the run — and are instead certified against
 //! structural invariants (Lemma 2's `dim ker M_r = 1` for `M_r` cells,
 //! the construction rank bound for `random` cells). `fast` cells check
-//! (un-timed) that the fused path and the chunk-claiming batch
-//! eliminator leave the tracker byte-identical to the scalar path, and
-//! record the final rank plus an FNV-1a digest of the canonical echelon
-//! so thread-count determinism is visible in the document itself.
+//! (un-timed) that the fused path leaves the tracker byte-identical to
+//! the scalar path, and record the final rank plus an FNV-1a digest of
+//! the canonical echelon, which `scripts/check.sh` pins against a
+//! committed golden document.
 //!
 //! The emitted document (`BENCH_modp.json`, schema v2, all-integer) is
 //! validated in-process by [`validate_doc`]; full runs additionally
@@ -43,9 +43,10 @@
 //! [`lint_committed`] re-checks all of that on the committed file
 //! through the float-free [`anonet_trace::json`] parser.
 
+use super::linalg_scaling::{mr_levels, push_mr_level};
 use anonet_core::experiment::Table;
-use anonet_linalg::{KernelTracker, ModpKernelTracker, SolverBackend};
-use anonet_multigraph::system::{self, ObservationKernel};
+use anonet_linalg::{KernelTracker, ModpKernelTracker};
+use anonet_multigraph::system;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
@@ -101,7 +102,7 @@ pub struct ModpCell {
     /// Final rank of the trajectory (`fast` cells only).
     pub rank: Option<usize>,
     /// FNV-1a digest of the final canonical echelon (`fast` cells
-    /// only) — identical across append paths and thread counts.
+    /// only) — identical across append paths.
     pub echelon_digest: Option<u64>,
 }
 
@@ -132,27 +133,34 @@ fn time_micros(reps: usize, mut f: impl FnMut()) -> u64 {
     best.max(1)
 }
 
+/// One round of `M_r` on the mod-p tracker, mirroring
+/// [`push_mr_level`].
+pub fn push_modp_level(t: &mut ModpKernelTracker, rows: &[Vec<(usize, i64)>]) {
+    t.extend_columns(3).expect("widen M_r columns");
+    for row in rows {
+        t.append_row_sparse_i64(row).expect("append M_r row");
+    }
+}
+
 /// The paper-system family: maintain `M_0 ⊂ M_1 ⊂ … ⊂ M_r` on both
 /// backends (`shared = false` skips the exact arm).
 fn mr_cell(r: usize, shared: bool) -> ModpCell {
+    let levels = mr_levels(r);
+
     // Un-timed agreement gate. Shared cells check the mod-p nullity
     // against the exact one per round; mod-p-only cells check Lemma 2's
     // closed form (rank = rows, dim ker = 1) directly.
-    let mut modp = ObservationKernel::with_backend(SolverBackend::ModpCertified);
-    if shared {
-        let mut exact = ObservationKernel::new();
-        for level in 0..=r {
-            exact.push_round().expect("push exact round");
-            modp.push_round().expect("push modp round");
+    let mut modp = ModpKernelTracker::new(1);
+    let mut exact = shared.then(|| KernelTracker::new(1));
+    for (level, rows) in levels.iter().enumerate() {
+        push_modp_level(&mut modp, rows);
+        if let Some(exact) = exact.as_mut() {
+            push_mr_level(exact, rows);
             assert_eq!(
                 modp.nullity(),
                 exact.nullity(),
                 "M_{level}: mod-p nullity must match exact"
             );
-        }
-    } else {
-        for _ in 0..=r {
-            modp.push_round().expect("push modp round");
         }
     }
     assert_eq!(modp.rank(), system::row_count(r), "Lemma 2 rank at r={r}");
@@ -161,20 +169,20 @@ fn mr_cell(r: usize, shared: bool) -> ModpCell {
     let reps = if r >= 3 { 2 } else { 5 };
     let exact_micros = shared.then(|| {
         time_micros(reps, || {
-            let mut k = ObservationKernel::new();
+            let mut k = KernelTracker::new(1);
             let mut sink = 0u64;
-            for _ in 0..=r {
-                k.push_round().expect("push exact round");
+            for rows in &levels {
+                push_mr_level(&mut k, rows);
                 sink ^= k.nullity() as u64;
             }
             black_box(sink);
         })
     });
     let modp_micros = time_micros(reps, || {
-        let mut k = ObservationKernel::with_backend(SolverBackend::ModpCertified);
+        let mut k = ModpKernelTracker::new(1);
         let mut sink = 0u64;
-        for _ in 0..=r {
-            k.push_round().expect("push modp round");
+        for rows in &levels {
+            push_modp_level(&mut k, rows);
             sink ^= k.nullity() as u64;
         }
         black_box(sink);
@@ -277,7 +285,7 @@ fn random_cell(n: usize, r: u32, rank: usize, seed: u64, shared: bool) -> ModpCe
 
 /// FNV-1a digest of a tracker's canonical echelon (rank, pivots and the
 /// Montgomery-reduced residues of every stored row) — the value every
-/// append path and thread count must agree on byte for byte.
+/// append path must agree on byte for byte.
 pub fn echelon_digest(t: &ModpKernelTracker) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -300,10 +308,9 @@ pub fn echelon_digest(t: &ModpKernelTracker) -> u64 {
 
 /// The fast family: `n` seeded rows over `3^r` columns, timing the
 /// delayed-reduction fused append against the scalar reference path.
-/// The un-timed gate checks the fused path AND the chunk-claiming
-/// batch eliminator (at `threads` workers) leave the tracker
+/// The un-timed gate checks the fused path leaves the tracker
 /// byte-identical to the scalar path.
-fn fast_cell(n: usize, r: u32, rank: usize, seed: u64, threads: usize) -> ModpCell {
+fn fast_cell(n: usize, r: u32, rank: usize, seed: u64) -> ModpCell {
     let cols = 3usize.pow(r);
     let rows = random_rows(n, cols, rank, seed);
 
@@ -317,14 +324,6 @@ fn fast_cell(n: usize, r: u32, rank: usize, seed: u64, threads: usize) -> ModpCe
         fused.append_row_i64(row).expect("fused append");
     }
     assert_eq!(fused, scalar, "fused echelon diverged at n={n}, r={r}");
-    let mut batch = ModpKernelTracker::new(cols);
-    batch
-        .append_rows_i64(&rows, threads)
-        .expect("batch append");
-    assert_eq!(
-        batch, scalar,
-        "batch echelon diverged at n={n}, r={r}, threads={threads}"
-    );
     assert!(scalar.rank() <= rank, "construction rank bound at n={n}");
     let digest = echelon_digest(&scalar);
 
@@ -399,8 +398,6 @@ pub enum CellSpec {
         rank: usize,
         /// RNG seed of the trajectory.
         seed: u64,
-        /// Worker count for the un-timed batch-eliminator check.
-        threads: usize,
     },
 }
 
@@ -438,21 +435,13 @@ impl CellSpec {
                 seed,
                 shared,
             } => random_cell(n, r, rank, seed, shared),
-            CellSpec::Fast {
-                n,
-                r,
-                rank,
-                seed,
-                threads,
-            } => fast_cell(n, r, rank, seed, threads),
+            CellSpec::Fast { n, r, rank, seed } => fast_cell(n, r, rank, seed),
         }
     }
 }
 
-/// The grid's cell specs, in grid order. `threads` is the worker count
-/// the fast cells use for their un-timed batch-eliminator check (the
-/// timed arms are always serial).
-pub fn grid_specs(grid: Grid, threads: usize) -> Vec<CellSpec> {
+/// The grid's cell specs, in grid order.
+pub fn grid_specs(grid: Grid) -> Vec<CellSpec> {
     // Shared specs mirror `exp_linalg_scaling`'s grid (both arms timed);
     // the extended `n ∈ {256, 512, 1024}` cells are mod-p only; the
     // fast cells push the fused append path to `n = 10^5`.
@@ -499,20 +488,17 @@ pub fn grid_specs(grid: Grid, threads: usize) -> Vec<CellSpec> {
         seed,
         shared: false,
     }));
-    specs.extend(fast.iter().map(|&(n, r, rank, seed)| CellSpec::Fast {
-        n,
-        r,
-        rank,
-        seed,
-        threads,
-    }));
+    specs.extend(
+        fast.iter()
+            .map(|&(n, r, rank, seed)| CellSpec::Fast { n, r, rank, seed }),
+    );
     specs
 }
 
 /// Runs the scaling grid serially (timing fidelity) and returns its
 /// cells in grid order.
 pub fn run_scaling(grid: Grid) -> Vec<ModpCell> {
-    grid_specs(grid, 1).iter().map(CellSpec::run).collect()
+    grid_specs(grid).iter().map(CellSpec::run).collect()
 }
 
 /// Serializes a cell as a single-line checkpoint payload.
@@ -716,8 +702,8 @@ pub fn check_gates(cells: &[ModpCell]) -> Result<(), String> {
 /// Builds the `BENCH_modp.json` document (schema v2, all-integer) for
 /// a finished grid. With `timings = false` every wall-clock field (and
 /// the timing-derived `largest_shared_cell`) is omitted, leaving only
-/// the deterministic facts — rows, cols, rank, echelon digest — so two
-/// runs at different thread counts emit byte-identical documents.
+/// the deterministic facts — rows, cols, rank, echelon digest — so every
+/// run emits a byte-identical document.
 ///
 /// # Panics
 ///
@@ -1114,10 +1100,7 @@ mod tests {
             a.append_row_i64(row).unwrap();
             b.append_row_scalar_i64(row).unwrap();
         }
-        let mut c = ModpKernelTracker::new(27);
-        c.append_rows_i64(&rows, 3).unwrap();
         assert_eq!(echelon_digest(&a), echelon_digest(&b));
-        assert_eq!(echelon_digest(&a), echelon_digest(&c));
         let mut d = ModpKernelTracker::new(27);
         for row in &random_rows(48, 27, 8, 4321) {
             d.append_row_i64(row).unwrap();

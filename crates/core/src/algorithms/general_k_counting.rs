@@ -10,7 +10,6 @@
 //! exponential, so sized for small networks.
 
 use super::kernel_counting::CountingOutcome;
-use anonet_linalg::SolverBackend;
 use anonet_multigraph::system_k::{GeneralSystem, SystemKError};
 use anonet_multigraph::DblMultigraph;
 use anonet_trace::{NullSink, RoundEvent, TraceSink};
@@ -29,16 +28,6 @@ pub enum GeneralKError {
         /// The consistent populations at the horizon.
         candidates: Vec<i64>,
     },
-    /// The mod-p watcher and the exact decision-round elimination
-    /// disagreed — `p` divided a maximal minor of the observation
-    /// matrix, so the mod-p kernel dimensions cannot be trusted
-    /// (never observed on genuine `M_r^{(k)}`; see `docs/LINALG.md`).
-    CertificationMismatch {
-        /// Nullity from the exact elimination.
-        exact: usize,
-        /// Nullity reported by the mod-p tracker.
-        modp: usize,
-    },
 }
 
 impl fmt::Display for GeneralKError {
@@ -48,10 +37,6 @@ impl fmt::Display for GeneralKError {
             GeneralKError::Undecided { rounds, candidates } => {
                 write!(f, "undecided after {rounds} rounds: |W| in {candidates:?}")
             }
-            GeneralKError::CertificationMismatch { exact, modp } => write!(
-                f,
-                "mod-p certification failed: exact nullity {exact} != mod-p nullity {modp}"
-            ),
         }
     }
 }
@@ -91,36 +76,12 @@ impl From<SystemKError> for GeneralKError {
 #[derive(Debug, Clone, Copy)]
 pub struct GeneralKCounting {
     max_solutions: usize,
-    backend: SolverBackend,
 }
 
 impl GeneralKCounting {
-    /// Creates the rule with an enumeration budget (solutions per round),
-    /// on the exact backend.
+    /// Creates the rule with an enumeration budget (solutions per round).
     pub fn new(max_solutions: usize) -> GeneralKCounting {
-        GeneralKCounting {
-            max_solutions,
-            backend: SolverBackend::Exact,
-        }
-    }
-
-    /// Selects the arithmetic backing the per-round kernel-dimension
-    /// verification: [`SolverBackend::ModpCertified`] maintains the
-    /// incremental echelon mod `p = 2^62 − 57` and certifies it against
-    /// one exact elimination at the decision round;
-    /// [`SolverBackend::CrtCertified`] runs three Montgomery primes in
-    /// lockstep and certifies by CRT reconstruction of the kernel basis
-    /// (falling back to the same exact replay). Decision rounds and
-    /// traces are bit-identical to [`SolverBackend::Exact`] (the
-    /// enumeration itself is always exact).
-    pub fn with_backend(mut self, backend: SolverBackend) -> GeneralKCounting {
-        self.backend = backend;
-        self
-    }
-
-    /// The backend configured via [`with_backend`](Self::with_backend).
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
+        GeneralKCounting { max_solutions }
     }
 
     /// Observes `m` round by round and outputs when exactly one
@@ -143,13 +104,10 @@ impl GeneralKCounting {
     /// consistent populations (`candidate_count`), their interval
     /// (`candidate_lo`/`candidate_hi`) and the kernel dimension of the
     /// round's observation system (`kernel_dim`; grows with the round for
-    /// `k ≥ 3` — the reason no closed-form rule is known). While the
-    /// system stays small the dimension is *verified* by incremental
-    /// elimination
-    /// ([`GeneralObservationKernel`](anonet_multigraph::system_k::GeneralObservationKernel));
-    /// past the budget it
-    /// falls back to [`GeneralSystem::predicted_nullity`], which the
-    /// verified prefix has confirmed round by round.
+    /// `k ≥ 3` — the reason no closed-form rule is known). The dimension
+    /// is [`GeneralSystem::predicted_nullity`]: the matrix depends only on
+    /// `k` and the round, and exact elimination in the tests confirms the
+    /// closed form on every matrix of at most 512 columns.
     ///
     /// # Errors
     ///
@@ -161,10 +119,6 @@ impl GeneralKCounting {
         sink: &mut S,
     ) -> Result<CountingOutcome, GeneralKError> {
         let sys = GeneralSystem::new(m.k())?;
-        // Verify the kernel dimension incrementally while the unknown
-        // count stays below this budget (q^rounds columns).
-        const VERIFY_MAX_COLUMNS: usize = 512;
-        let mut verifier = Some(sys.observation_kernel_with_backend(self.backend));
         let mut last = Vec::new();
         for rounds in 1..=max_rounds {
             let pops = sys.feasible_populations(m, rounds as usize, self.max_solutions)?;
@@ -172,37 +126,11 @@ impl GeneralKCounting {
             if let (Some(&lo), Some(&hi)) = (pops.first(), pops.last()) {
                 ev = ev.candidates(lo, hi);
             }
-            verifier = verifier.filter(|_| {
-                sys.q()
-                    .checked_pow(rounds)
-                    .is_some_and(|cols| cols <= VERIFY_MAX_COLUMNS)
-            });
-            let nullity = match verifier.as_mut() {
-                Some(v) => {
-                    v.push_round()?;
-                    Ok(v.nullity())
-                }
-                None => sys.predicted_nullity(rounds as usize - 1),
-            };
-            if let Ok(nullity) = nullity {
+            if let Ok(nullity) = sys.predicted_nullity(rounds as usize - 1) {
                 ev = ev.kernel_dim(nullity as u64);
             }
             sink.record(&ev);
             if pops.len() == 1 {
-                // Second tier of the fast-backend protocol: the watched
-                // kernel dimensions are certified (CRT reconstruction or
-                // one exact elimination) before the leader outputs.
-                if self.backend != SolverBackend::Exact {
-                    if let Some(v) = verifier.as_ref().filter(|v| v.rounds() > 0) {
-                        let exact = v.certify()?;
-                        if exact != v.nullity() {
-                            return Err(GeneralKError::CertificationMismatch {
-                                exact,
-                                modp: v.nullity(),
-                            });
-                        }
-                    }
-                }
                 sink.flush();
                 return Ok(CountingOutcome {
                     count: pops[0] as u64,
@@ -247,30 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn modp_backend_matches_exact_for_general_k() {
-        use anonet_trace::MemorySink;
-        // k = 3: the kernel dimension genuinely grows per round, so the
-        // mod-p watcher is verifying something non-trivial here.
-        let all: Vec<LabelSet> = (1u32..8).map(|m| LabelSet::from_mask(m, 3).unwrap()).collect();
-        let m = DblMultigraph::new(3, vec![all]).unwrap();
-        let mut exact_sink = MemorySink::new();
-        let exact = GeneralKCounting::new(500_000)
-            .run_with_sink(&m, 6, &mut exact_sink)
-            .unwrap();
-        let mut modp_sink = MemorySink::new();
-        let algo = GeneralKCounting::new(500_000).with_backend(SolverBackend::ModpCertified);
-        assert_eq!(algo.backend(), SolverBackend::ModpCertified);
-        let modp = algo.run_with_sink(&m, 6, &mut modp_sink).unwrap();
-        assert_eq!(exact, modp, "outcome is backend-independent");
-        assert_eq!(exact_sink.events(), modp_sink.events());
-        let mut crt_sink = MemorySink::new();
-        let algo = GeneralKCounting::new(500_000).with_backend(SolverBackend::CrtCertified);
-        let crt = algo.run_with_sink(&m, 6, &mut crt_sink).unwrap();
-        assert_eq!(exact, crt, "outcome is backend-independent");
-        assert_eq!(exact_sink.events(), crt_sink.events());
-    }
-
-    #[test]
     fn counts_k3_networks() {
         // Rotating singletons: each node cycles through distinct labels.
         let m = DblMultigraph::new(
@@ -304,8 +208,8 @@ mod tests {
 
     #[test]
     fn traced_kernel_dims_match_predicted_nullity() {
-        // The incrementally verified kernel dimension in the trace must
-        // equal the closed-form prediction at every round, for several k.
+        // The traced kernel dimension is the closed-form prediction at
+        // every round.
         use anonet_trace::MemorySink;
         let k3 = DblMultigraph::new(
             3,

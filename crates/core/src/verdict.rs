@@ -709,9 +709,10 @@ fn history_tree_unguarded<T: RoundSource + ?Sized, S: TraceSink>(
 /// perturbed) observations. Watchdogs mirror [`WatchedLeader`]:
 /// delivery integrity, connectivity (round must deliver between `lo`
 /// and `2·hi` messages for the previous candidate range `[lo, hi]`),
-/// census conservation (the candidate set must stay non-empty and
-/// nested) and kernel consistency (verified nullity must match the
-/// closed-form prediction while within the verifier's column budget).
+/// and census conservation (the candidate set must stay non-empty and
+/// nested). The traced `kernel_dim` is
+/// [`GeneralSystem::predicted_nullity`]: `M_r^{(k)}` depends on the round
+/// alone, so no execution can move it.
 ///
 /// # Panics
 ///
@@ -726,13 +727,6 @@ pub fn general_k_verdict(
 ) -> Verdict {
     general_k_verdict_with_sink(m, max_rounds, max_solutions, plan, watchdogs, &mut NullSink)
 }
-
-/// Verifier column budget of the general-`k` runner: identical to the
-/// `VERIFY_MAX_COLUMNS` of
-/// [`GeneralKCounting`](crate::algorithms::GeneralKCounting) so that
-/// empty-plan traces carry the same verified/predicted `kernel_dim`
-/// facets.
-const GENERAL_K_VERIFY_MAX_COLUMNS: usize = 512;
 
 /// Column budget for post-decision confirmation rounds of the
 /// general-`k` runner (`3^6 = 729` unknowns): within it, confirmation
@@ -781,7 +775,6 @@ pub fn general_k_source_verdict<T: RoundSource + ?Sized, S: TraceSink>(
             candidates: None,
         };
     };
-    let mut verifier = Some(sys.observation_kernel());
     let mut rhs: Vec<i64> = Vec::new();
     let mut prev_range: Option<(i64, i64)> = None;
     let mut decided: Option<(u64, u32)> = None;
@@ -797,7 +790,6 @@ pub fn general_k_source_verdict<T: RoundSource + ?Sized, S: TraceSink>(
             // wrong depth for level 0 — delivery integrity trips below.
             rhs.clear();
             prev_range = None;
-            verifier = Some(sys.observation_kernel());
         }
         // Post-decision confirmation budget: re-enumerating the census
         // lattice recurses once per column (3^rounds), so confirmation
@@ -861,22 +853,7 @@ pub fn general_k_source_verdict<T: RoundSource + ?Sized, S: TraceSink>(
             // Enumeration budget or size limits — not a model violation.
             Err(_) => return undecided(r32 + 1, prev_range, sink),
         };
-        verifier = verifier.filter(|_| {
-            sys.q()
-                .checked_pow(rounds_seen as u32)
-                .is_some_and(|cols| cols <= GENERAL_K_VERIFY_MAX_COLUMNS)
-        });
-        let nullity = match verifier.as_mut() {
-            Some(v) => v.push_round().map(|()| v.nullity()),
-            None => sys.predicted_nullity(rounds_seen - 1),
-        };
         if watchdogs {
-            let predicted = sys.predicted_nullity(rounds_seen - 1).ok();
-            if let (Ok(n), Some(p)) = (&nullity, predicted) {
-                if *n != p {
-                    return violation_verdict(ViolationKind::KernelConsistency, r32, plan, sink);
-                }
-            }
             let range = pops.first().zip(pops.last()).map(|(&lo, &hi)| (lo, hi));
             let conserved = match (range, prev_range) {
                 (None, _) => false,
@@ -896,7 +873,7 @@ pub fn general_k_source_verdict<T: RoundSource + ?Sized, S: TraceSink>(
             if let (Some(&lo), Some(&hi)) = (pops.first(), pops.last()) {
                 ev = ev.candidates(lo, hi);
             }
-            if let Ok(nullity) = nullity {
+            if let Ok(nullity) = sys.predicted_nullity(rounds_seen - 1) {
                 ev = ev.kernel_dim(nullity as u64);
             }
             if let Some(f) = plan.labels_at(r32) {

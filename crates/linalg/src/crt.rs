@@ -1,11 +1,10 @@
 //! Multi-prime CRT rank/kernel engine.
 //!
 //! [`ModpKernelTracker`](crate::ModpKernelTracker) tracks rank over a single
-//! prime, so at the decision round the counting algorithms re-certify with
-//! exact rational elimination — the one remaining super-linear cliff.
-//! [`CrtKernelTracker`] removes it: the same echelon elimination runs in
+//! prime, so an exact answer would need a second, rational elimination.
+//! [`CrtKernelTracker`] avoids it: the same echelon elimination runs in
 //! lockstep over **three** independent Montgomery primes
-//! ([`CRT_PRIMES`]), and at decision time the rational kernel basis is
+//! ([`CRT_PRIMES`]), and on request the rational kernel basis is
 //! *reconstructed* from the residues (Chinese remaindering over the first
 //! two primes + Wang rational reconstruction), *screened* against the third
 //! prime, and finally *verified exactly* against every appended row with
@@ -14,18 +13,12 @@
 //! provably annihilate the appended matrix, which pins the rational nullity
 //! from below while the mod-p rank pins it from above. Any cross-prime
 //! disagreement, reconstruction failure, or verification miss yields `None`
-//! and the caller falls back to the exact path (fail-closed).
+//! (fail-closed).
 //!
 //! The per-round arithmetic itself is the delayed-reduction kernel pair
 //! [`MontPrime::accumulate4`] / [`MontPrime::fold_sub`] of
 //! [`montops`](crate::montops): one widening multiply and one 128-bit add
-//! per matrix element with a single REDC per output column, plus a batched
-//! append that reduces blocks of rows against a snapshot in parallel (the
-//! PR 6 chunk-claim pattern) with byte-identical results at any thread
-//! count.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! per matrix element with a single REDC per output column.
 
 use crate::error::{LinalgError, Result};
 use crate::modp::P;
@@ -43,9 +36,6 @@ use crate::sparse::SparseIntMatrix;
 /// asserted by a deterministic Miller–Rabin test in `montops`.
 pub const CRT_PRIMES: [u64; 3] = [P, (1 << 61) - 1, (1 << 62) - 87];
 
-/// Rows per unit of work claimed by one thread in the batched append.
-const CHUNK_ROWS: usize = 32;
-
 /// Row-echelon elimination state over one runtime prime.
 ///
 /// This is the shared engine behind both
@@ -53,8 +43,8 @@ const CHUNK_ROWS: usize = 32;
 /// [`CrtKernelTracker`] (three lanes): rows are stored in Montgomery form
 /// with their first non-zero entry normalised to `1`, kept sorted by pivot
 /// column, with no back-elimination. All arithmetic produces canonical
-/// residues, so every append path — scalar, fused, batched, threaded —
-/// commits byte-identical state.
+/// residues, so every append path — scalar, fused, sparse — commits
+/// byte-identical state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PrimeEchelon {
     m: MontPrime,
@@ -141,8 +131,8 @@ impl PrimeEchelon {
     /// the very end — compare one full Montgomery multiply per element
     /// *per stored row* on the scalar path.
     ///
-    /// `fac`/`acc` are caller-owned scratch buffers so the batch path can
-    /// reuse them across rows; they are cleared and resized here.
+    /// `fac`/`acc` are caller-owned scratch buffers so a caller can reuse
+    /// them across rows; they are cleared and resized here.
     ///
     /// Because shifting the accumulator by multiples of `p·2^64` leaves
     /// the REDC output untouched and every settled value is the canonical
@@ -289,82 +279,6 @@ impl PrimeEchelon {
         self.commit(v)
     }
 
-    /// Appends a block of dense rows, reducing them against the current
-    /// state in parallel and committing sequentially.
-    ///
-    /// Every row is first reduced against a snapshot of the tracker (the
-    /// parallel phase: work is claimed in fixed [`CHUNK_ROWS`] chunks, PR
-    /// 6 style, so the set of per-row results is independent of the thread
-    /// count), then re-reduced against the rows committed before it in the
-    /// batch (the sequential phase; snapshot pivots reduce to zero factors
-    /// and cost nothing). Stored echelon rows are zero strictly left of
-    /// their pivots, so the elimination coefficients of a row are the
-    /// unique solution of a unit-triangular system — the committed state
-    /// is therefore **byte-identical** to appending the rows one by one,
-    /// at any thread count.
-    ///
-    /// Returns the number of rows that increased the rank. On error the
-    /// tracker is unchanged (widths are validated up front).
-    pub(crate) fn append_rows_i64(&mut self, rows: &[Vec<i64>], threads: usize) -> Result<usize> {
-        for row in rows {
-            if row.len() != self.cols {
-                return Err(self.width_error(row.len()));
-            }
-        }
-        let chunks = rows.len().div_ceil(CHUNK_ROWS);
-        let workers = threads.max(1).min(chunks.max(1));
-        let reduced: Vec<Vec<u64>> = if workers <= 1 {
-            let (mut fac, mut acc) = (Vec::new(), Vec::new());
-            rows.iter()
-                .map(|row| {
-                    let mut v: Vec<u64> = row.iter().map(|&x| self.m.from_i64(x)).collect();
-                    self.reduce_fused(&mut v, &mut fac, &mut acc);
-                    v
-                })
-                .collect()
-        } else {
-            let snapshot: &PrimeEchelon = self;
-            let slots: Vec<Mutex<Vec<Vec<u64>>>> =
-                (0..chunks).map(|_| Mutex::new(Vec::new())).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= chunks {
-                            break;
-                        }
-                        let lo = i * CHUNK_ROWS;
-                        let hi = (lo + CHUNK_ROWS).min(rows.len());
-                        let mut out = Vec::with_capacity(hi - lo);
-                        let (mut fac, mut acc) = (Vec::new(), Vec::new());
-                        for row in &rows[lo..hi] {
-                            let mut v: Vec<u64> =
-                                row.iter().map(|&x| snapshot.m.from_i64(x)).collect();
-                            snapshot.reduce_fused(&mut v, &mut fac, &mut acc);
-                            out.push(v);
-                        }
-                        *slots[i].lock().expect("batch slot poisoned") = out;
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .flat_map(|s| s.into_inner().expect("batch slot poisoned"))
-                .collect()
-        };
-        self.appended += rows.len();
-        let mut added = 0;
-        let (mut fac, mut acc) = (Vec::new(), Vec::new());
-        for mut v in reduced {
-            self.reduce_fused(&mut v, &mut fac, &mut acc);
-            if self.commit(v)? {
-                added += 1;
-            }
-        }
-        Ok(added)
-    }
-
     /// Replaces every column by `factor` adjacent copies of itself
     /// (`M ⊗ 1ᵀ_factor`), mirroring
     /// [`ModpKernelTracker::extend_columns`](crate::ModpKernelTracker::extend_columns).
@@ -387,8 +301,7 @@ impl PrimeEchelon {
         }
         for p in &mut self.pivots {
             // p < cols and cols * factor was checked above, so this cannot
-            // overflow; keep it checked anyway (it was silently unchecked
-            // before the batch paths widened the reachable inputs).
+            // overflow; keep it checked anyway.
             *p = p.checked_mul(factor).ok_or(LinalgError::Overflow)?;
         }
         self.cols = new_cols;
@@ -441,17 +354,15 @@ pub struct CrtCertificate {
 }
 
 /// Append-only rank/kernel tracker over the three [`CRT_PRIMES`] lanes
-/// with exact decision-time certification.
+/// with exact on-demand certification.
 ///
 /// Per-round queries ([`CrtKernelTracker::rank`] /
 /// [`CrtKernelTracker::nullity`] / [`CrtKernelTracker::pivots`]) report
 /// lane 0 — the [`modp`](crate::modp) prime — so they are bit-identical to
-/// a [`ModpKernelTracker`](crate::ModpKernelTracker) fed the same rows. At
-/// the decision round, [`CrtKernelTracker::certify`] reconstructs the
-/// rational kernel basis from the lane residues and verifies it exactly,
-/// replacing the exact-elimination replay of
-/// [`SolverBackend::ModpCertified`](crate::SolverBackend::ModpCertified)
-/// with `O(nullity · rank² + nnz)` work.
+/// a [`ModpKernelTracker`](crate::ModpKernelTracker) fed the same rows.
+/// [`CrtKernelTracker::certify`] reconstructs the rational kernel basis
+/// from the lane residues and verifies it exactly, in
+/// `O(nullity · rank² + nnz)` work instead of an exact re-elimination.
 ///
 /// # Examples
 ///
@@ -800,22 +711,6 @@ mod tests {
             }
             assert_eq!(scalar, fused, "fused != scalar for p = {p}");
             assert_eq!(scalar, sparse, "sparse != scalar for p = {p}");
-            for threads in [1, 4] {
-                let mut batch = PrimeEchelon::new(m, cols);
-                let added = batch.append_rows_i64(&rows, threads).unwrap();
-                assert_eq!(added, scalar.rank());
-                assert_eq!(batch, scalar, "batch({threads}) != scalar for p = {p}");
-            }
-            // A batch appended onto a non-empty snapshot (the parallel
-            // phase then does real elimination work).
-            for threads in [1, 4] {
-                let mut batch = PrimeEchelon::new(m, cols);
-                for row in &rows[..15] {
-                    batch.append_row_i64(row).unwrap();
-                }
-                batch.append_rows_i64(&rows[15..], threads).unwrap();
-                assert_eq!(batch, scalar, "split batch({threads}) != scalar");
-            }
         }
     }
 
@@ -996,21 +891,11 @@ mod tests {
             }
             t
         });
-        let (batch_us, batch) = time(&mut || {
-            let mut t = PrimeEchelon::new(m, cols);
-            let head = 256.min(rows.len());
-            t.append_rows_i64(&rows[..head], 1).unwrap();
-            t.append_rows_i64(&rows[head..], 1).unwrap();
-            t
-        });
         assert_eq!(scalar, fused);
-        assert_eq!(scalar, batch);
         println!(
-            "rank {}: scalar {scalar_us}us fused {fused_us}us batch {batch_us}us; \
-             fused {:.2}x batch {:.2}x",
+            "rank {}: scalar {scalar_us}us fused {fused_us}us; fused {:.2}x",
             scalar.rank(),
             scalar_us as f64 / fused_us as f64,
-            scalar_us as f64 / batch_us as f64,
         );
     }
 

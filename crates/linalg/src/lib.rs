@@ -44,7 +44,7 @@ pub use crt::{CrtCertificate, CrtKernelTracker, CRT_PRIMES};
 pub use error::{LinalgError, Result};
 pub use incremental::KernelTracker;
 pub use matrix::Matrix;
-pub use modp::{ModpKernelTracker, SolverBackend};
+pub use modp::ModpKernelTracker;
 pub use montops::MontPrime;
 pub use ratio::{gcd_i128, Ratio};
 pub use sparse::SparseIntMatrix;

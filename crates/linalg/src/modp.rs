@@ -3,11 +3,8 @@
 //! The exact [`KernelTracker`](crate::KernelTracker) answers every
 //! rank/nullity query with checked `i128`/[`Ratio`](crate::Ratio)
 //! arithmetic — bit-identical to batch elimination, but paying for gcd
-//! renormalisation and wide multiplies on every reduction. The counting
-//! protocol only needs *exact* answers at the single round where the
-//! leader is about to output; every earlier round merely watches the
-//! nullity. This module provides the cheap watcher: the same echelon
-//! maintenance over the prime field `F_p` with
+//! renormalisation and wide multiplies on every reduction. This module
+//! provides the same echelon maintenance over the prime field `F_p` with
 //! `p = 2^62 − 57`, one `u64` lane per entry, Montgomery multiplication
 //! and a Barrett-style reduction into the field.
 //!
@@ -15,9 +12,9 @@
 //! vanishing minor mod `p` may be non-zero over `ℚ`, never the other way
 //! around), and by the Schwartz–Zippel / minor-divisibility argument the
 //! two differ only if `p` divides a non-zero `rank × rank` minor — see
-//! `docs/LINALG.md` for the quantitative bound. The
-//! [`SolverBackend::ModpCertified`] protocol therefore re-checks the
-//! final answer against the exact tracker before anything is output.
+//! `docs/LINALG.md` for the quantitative bound. A mod-p answer is
+//! therefore only ever compared against the exact tracker (tests,
+//! `exp_modp_scaling`), never trusted alone.
 
 use crate::crt::PrimeEchelon;
 use crate::error::{LinalgError, Result};
@@ -257,8 +254,7 @@ pub fn batch_inverse_into(xs: &[Fp], out: &mut Vec<Fp>, scratch: &mut Vec<Fp>) -
 /// rank, with equality unless `p` divides a non-zero maximal minor of
 /// the appended matrix (see `docs/LINALG.md` for why that never happens
 /// on the paper's observation systems and is `≈ 2^{−62}`-rare for
-/// random ones). The [`SolverBackend::ModpCertified`] protocol closes
-/// even that gap by certifying with the exact tracker at decision time.
+/// random ones).
 ///
 /// ```
 /// use anonet_linalg::ModpKernelTracker;
@@ -343,7 +339,7 @@ impl ModpKernelTracker {
     /// Appends one row through the scalar one-multiply-per-element loop —
     /// the pre-fused hot path, kept as the baseline arm of
     /// `exp_modp_scaling` and for differential tests against the fused and
-    /// batched paths.
+    /// sparse paths.
     ///
     /// # Errors
     ///
@@ -365,22 +361,6 @@ impl ModpKernelTracker {
         self.inner.append_row_sparse_i64(entries)
     }
 
-    /// Appends a block of rows: each row is reduced against a snapshot of
-    /// the tracker in parallel (`threads` workers claiming fixed-size
-    /// chunks), then committed sequentially in input order. Byte-identical
-    /// to appending the rows one by one at any thread count; see
-    /// `crt::PrimeEchelon::append_rows_i64` for the argument.
-    ///
-    /// Returns the number of rows that increased the rank.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] if any row width differs from
-    /// [`ModpKernelTracker::cols`]; the tracker is unchanged.
-    pub fn append_rows_i64(&mut self, rows: &[Vec<i64>], threads: usize) -> Result<usize> {
-        self.inner.append_rows_i64(rows, threads)
-    }
-
     /// Replaces every column by `factor` adjacent copies of itself: the
     /// tracked matrix `M` becomes `M ⊗ 1ᵀ_factor`, exactly as
     /// [`KernelTracker::extend_columns`](crate::KernelTracker::extend_columns)
@@ -393,38 +373,6 @@ impl ModpKernelTracker {
     pub fn extend_columns(&mut self, factor: usize) -> Result<()> {
         self.inner.extend_columns(factor)
     }
-}
-
-/// Which arithmetic backs the per-round rank/nullity queries of the
-/// counting algorithms.
-///
-/// * [`SolverBackend::Exact`] — every query runs on the exact
-///   [`KernelTracker`](crate::KernelTracker) (checked `i128`/`Ratio`),
-///   the PR 2 behaviour and the reference for all cross-checks.
-/// * [`SolverBackend::ModpCertified`] — per-round queries run on a
-///   [`ModpKernelTracker`] over `p = 2^62 − 57`, and the exact tracker
-///   is consulted once, at the candidate decision round, to certify the
-///   answer before the leader outputs. Decision rounds and traces are
-///   bit-identical to `Exact` (asserted by the cross-oracle tests);
-///   only the arithmetic under the hood changes.
-/// * [`SolverBackend::CrtCertified`] — per-round queries run over three
-///   independent primes in lockstep
-///   ([`CrtKernelTracker`](crate::CrtKernelTracker)); at the decision
-///   round the rational kernel is *reconstructed by CRT* and verified
-///   exactly against the appended rows, so no exact rational elimination
-///   runs at all unless the reconstruction fails (then the exact replay
-///   of `ModpCertified` is the fallback — fail-closed). Decision rounds
-///   and traces remain bit-identical to `Exact`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolverBackend {
-    /// Exact integer/rational elimination everywhere.
-    #[default]
-    Exact,
-    /// Mod-p elimination per round, exact certification at decision time.
-    ModpCertified,
-    /// Three-prime elimination per round, CRT reconstruction + exact
-    /// verification at decision time, exact replay only as fallback.
-    CrtCertified,
 }
 
 #[cfg(test)]

@@ -390,29 +390,4 @@ proptest! {
             ),
         }
     }
-
-    #[test]
-    fn modp_batch_append_matches_sequential_at_any_thread_count(
-        rows in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 6), 1..12),
-        threads in 1usize..=4,
-    ) {
-        // The chunk-claiming parallel eliminator must leave the tracker
-        // in EXACTLY the state the one-row-at-a-time path produces —
-        // same echelon residues, same pivots — for every thread count.
-        let mut seq = ModpKernelTracker::new(6);
-        let mut added_seq = 0usize;
-        for row in &rows {
-            if seq.append_row_i64(row).unwrap() {
-                added_seq += 1;
-            }
-        }
-        let mut batch = ModpKernelTracker::new(6);
-        let added = batch.append_rows_i64(&rows, threads).unwrap();
-        prop_assert_eq!(added, added_seq);
-        prop_assert_eq!(&batch, &seq, "threads={}", threads);
-
-        let mut single = ModpKernelTracker::new(6);
-        single.append_rows_i64(&rows, 1).unwrap();
-        prop_assert_eq!(&single, &batch, "1 vs {} threads", threads);
-    }
 }

@@ -712,9 +712,11 @@ pub struct WatchedRound {
 ///    instead of panicking.
 ///
 /// The decision rule's premise, Lemma 2 (`dim ker M_r = 1`), is a fact
-/// about `M_r` alone, which does not depend on the execution, so tests
-/// on [`ObservationKernel`](crate::system::ObservationKernel) pin it
-/// once for every run.
+/// about `M_r` alone, which does not depend on the execution, so one
+/// test pins it for every run: `incremental_general_kernel_matches_batch`
+/// eliminates `M_r` exactly, from the rows of
+/// [`GeneralSystem::level_rows`](crate::system_k::GeneralSystem::level_rows),
+/// at every level up to `3^5` columns.
 ///
 /// A tripped watchdog latches: every later `ingest` returns the same
 /// [`Violation`], and [`WatchedLeader::restart`] (state loss) does not

@@ -17,10 +17,7 @@
 
 use crate::history::ternary_count;
 use crate::leader::Observations;
-use anonet_linalg::{
-    CrtCertificate, CrtKernelTracker, KernelTracker, LinalgError, ModpKernelTracker,
-    SolverBackend, SparseIntMatrix,
-};
+use anonet_linalg::{LinalgError, SparseIntMatrix};
 use core::fmt;
 
 /// Number of columns of `M_r`: all length-`r+1` histories, `3^{r+1}`.
@@ -446,282 +443,6 @@ impl IncrementalSolver {
     }
 }
 
-/// Incremental maintenance of the echelon form of `M_r` across rounds —
-/// the leader's *verified* kernel, as opposed to the closed-form
-/// [`kernel_vector`] it is entitled to assume by Lemma 3.
-///
-/// Round `r → r + 1` performs two append-only operations on the
-/// underlying [`KernelTracker`]:
-///
-/// 1. [`extend_columns(3)`](KernelTracker::extend_columns) — every
-///    length-`r+1` history splits into its three one-round extensions,
-///    and each existing constraint row applies equally to all children
-///    (the Kronecker identity `rref(M) ⊗ 1ᵀ = rref(M ⊗ 1ᵀ)`);
-/// 2. one [`append_row_i64`](KernelTracker::append_row_i64) per new
-///    level-`r+1` connection row (`2 · 3^{r+1}` of them).
-///
-/// so rank/nullity/kernel queries after each round reuse all previous
-/// elimination work. The maintained echelon is bit-identical to
-/// `gauss::rref` of [`observation_matrix`]`(r)` — which makes this an
-/// executable, per-round proof of Lemma 2 (`dim ker M_r = 1`).
-///
-/// A [`SolverBackend`] chooses the arithmetic: the default
-/// [`SolverBackend::Exact`] maintains the checked-integer
-/// [`KernelTracker`]; [`SolverBackend::ModpCertified`]
-/// ([`ObservationKernel::with_backend`]) maintains a
-/// [`ModpKernelTracker`] over `p = 2^62 − 57` instead — single-word
-/// arithmetic, no gcds — and defers exactness to a one-shot
-/// [`certify`](ObservationKernel::certify) replay at decision time.
-/// [`SolverBackend::CrtCertified`] maintains a three-prime
-/// [`CrtKernelTracker`] whose decision-time certificate is
-/// *reconstructed* (CRT + rational reconstruction + exact verification,
-/// see [`crt_certificate`](ObservationKernel::crt_certificate)) instead
-/// of replayed, falling back to the exact replay only if reconstruction
-/// fails. All backends report the same rank/nullity on every `M_r` (the
-/// cross-oracle tests pin this); only the cost differs.
-///
-/// # Examples
-///
-/// ```
-/// use anonet_multigraph::system::{self, ObservationKernel};
-///
-/// let mut ok = ObservationKernel::new();
-/// ok.push_round()?; // M_0
-/// ok.push_round()?; // M_1
-/// assert_eq!(ok.nullity(), 1); // Lemma 2
-/// assert_eq!(ok.kernel_vector()?, system::kernel_vector(1)); // Lemma 3
-///
-/// // The mod-p fast path watches the same nullity, then certifies.
-/// use anonet_linalg::SolverBackend;
-/// let mut fast = ObservationKernel::with_backend(SolverBackend::ModpCertified);
-/// fast.push_round()?;
-/// fast.push_round()?;
-/// assert_eq!(fast.nullity(), 1);
-/// assert_eq!(fast.certify()?, 1); // exact replay agrees
-/// # Ok::<(), anonet_linalg::LinalgError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ObservationKernel {
-    backend: SolverBackend,
-    exact: Option<KernelTracker>,
-    modp: Option<ModpKernelTracker>,
-    crt: Option<CrtKernelTracker>,
-    rounds: usize,
-}
-
-impl Default for ObservationKernel {
-    fn default() -> Self {
-        ObservationKernel::new()
-    }
-}
-
-impl ObservationKernel {
-    /// A tracker over zero observed rounds (one unknown — the population
-    /// over the empty history — and no constraints), on the exact
-    /// backend.
-    pub fn new() -> ObservationKernel {
-        ObservationKernel::with_backend(SolverBackend::Exact)
-    }
-
-    /// A tracker over zero observed rounds on the chosen backend.
-    pub fn with_backend(backend: SolverBackend) -> ObservationKernel {
-        let (exact, modp, crt) = match backend {
-            SolverBackend::Exact => (Some(KernelTracker::new(1)), None, None),
-            SolverBackend::ModpCertified => (None, Some(ModpKernelTracker::new(1)), None),
-            SolverBackend::CrtCertified => (None, None, Some(CrtKernelTracker::new(1))),
-        };
-        ObservationKernel {
-            backend,
-            exact,
-            modp,
-            crt,
-            rounds: 0,
-        }
-    }
-
-    /// The backend this kernel was constructed with.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
-    }
-
-    /// Number of observed rounds; the tracked matrix is
-    /// `M_{rounds - 1}` (none for zero rounds).
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Ingests the next round: refines histories and appends the new
-    /// level's `2 · 3^{rounds}` connection rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Overflow`] for astronomically deep rounds
-    /// (`3^{r+1}` exceeding `usize`). The 0/1 rows themselves can never
-    /// overflow the integer elimination path.
-    pub fn push_round(&mut self) -> Result<(), LinalgError> {
-        if let Some(t) = &mut self.exact {
-            t.extend_columns(3)?;
-        }
-        if let Some(t) = &mut self.modp {
-            t.extend_columns(3)?;
-        }
-        if let Some(t) = &mut self.crt {
-            t.extend_columns(3)?;
-        }
-        // Each connection row has exactly two non-zeros out of 3^{r+1}
-        // columns, so every lane takes the sparse append path.
-        let prefixes = ternary_count(self.rounds);
-        for j in 0..2usize {
-            for p in 0..prefixes {
-                let entries = [(p * 3 + j, 1i64), (p * 3 + 2, 1i64)];
-                if let Some(t) = &mut self.exact {
-                    t.append_row_sparse_i64(&entries)?;
-                }
-                if let Some(t) = &mut self.modp {
-                    t.append_row_sparse_i64(&entries)?;
-                }
-                if let Some(t) = &mut self.crt {
-                    t.append_row_sparse_i64(&entries)?;
-                }
-            }
-        }
-        self.rounds += 1;
-        Ok(())
-    }
-
-    /// Rank of `M_{rounds-1}` (equals its row count: the rows are
-    /// independent).
-    pub fn rank(&self) -> usize {
-        match (&self.exact, &self.modp, &self.crt) {
-            (Some(t), _, _) => t.rank(),
-            (_, Some(t), _) => t.rank(),
-            (_, _, Some(t)) => t.rank(),
-            _ => unreachable!("one tracker always present"),
-        }
-    }
-
-    /// Verified kernel dimension — `1` at every round (Lemma 2).
-    pub fn nullity(&self) -> usize {
-        match (&self.exact, &self.modp, &self.crt) {
-            (Some(t), _, _) => t.nullity(),
-            (_, Some(t), _) => t.nullity(),
-            (_, _, Some(t)) => t.nullity(),
-            _ => unreachable!("one tracker always present"),
-        }
-    }
-
-    /// Exact kernel dimension of the current `M_{rounds-1}`, regardless
-    /// of backend.
-    ///
-    /// On [`SolverBackend::Exact`] this is [`nullity`](Self::nullity);
-    /// on [`SolverBackend::ModpCertified`] it replays the full exact
-    /// elimination from scratch — the one-shot second tier of the
-    /// certification protocol, paid only at the candidate decision
-    /// round. On [`SolverBackend::CrtCertified`] it first attempts the
-    /// replay-free [`crt_certificate`](Self::crt_certificate) and only
-    /// falls back to the exact replay when reconstruction fails
-    /// (fail-closed). The caller compares the result against the mod-p
-    /// [`nullity`](Self::nullity) before trusting the output.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`push_round`](Self::push_round).
-    pub fn certify(&self) -> Result<usize, LinalgError> {
-        match self.backend {
-            SolverBackend::Exact => Ok(self.nullity()),
-            SolverBackend::ModpCertified => self.certify_by_replay(),
-            SolverBackend::CrtCertified => match self.crt_certificate() {
-                Some(cert) => Ok(cert.nullity),
-                None => self.certify_by_replay(),
-            },
-        }
-    }
-
-    /// The one-shot exact replay: re-runs every observed round on the
-    /// exact backend and reports its nullity.
-    fn certify_by_replay(&self) -> Result<usize, LinalgError> {
-        let mut exact = ObservationKernel::new();
-        for _ in 0..self.rounds {
-            exact.push_round()?;
-        }
-        Ok(exact.nullity())
-    }
-
-    /// Attempts the replay-free certificate on the
-    /// [`SolverBackend::CrtCertified`] backend: the rational kernel basis
-    /// is CRT-reconstructed from the three prime lanes and *verified
-    /// exactly* against every appended row
-    /// ([`CrtKernelTracker::certify`]). `None` on other backends or when
-    /// any reconstruction / verification step fails — callers then fall
-    /// back to the exact replay.
-    pub fn crt_certificate(&self) -> Option<CrtCertificate> {
-        self.crt.as_ref().and_then(CrtKernelTracker::certify)
-    }
-
-    /// The underlying exact tracker (for echelon / rational-kernel
-    /// queries).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the [`SolverBackend::ModpCertified`] and
-    /// [`SolverBackend::CrtCertified`] backends, which maintain no exact
-    /// echelon (use [`certify`](Self::certify) /
-    /// [`modp_tracker`](Self::modp_tracker) /
-    /// [`crt_tracker`](Self::crt_tracker) there).
-    pub fn tracker(&self) -> &KernelTracker {
-        self.exact
-            .as_ref()
-            .expect("exact tracker is only maintained on SolverBackend::Exact")
-    }
-
-    /// The underlying mod-p tracker, when on
-    /// [`SolverBackend::ModpCertified`].
-    pub fn modp_tracker(&self) -> Option<&ModpKernelTracker> {
-        self.modp.as_ref()
-    }
-
-    /// The underlying three-prime tracker, when on
-    /// [`SolverBackend::CrtCertified`].
-    pub fn crt_tracker(&self) -> Option<&CrtKernelTracker> {
-        self.crt.as_ref()
-    }
-
-    /// The verified integer kernel vector, sign-normalized so the
-    /// all-singleton history has coefficient `+1` — equal to
-    /// [`kernel_vector`]`(rounds - 1)` by Lemma 3, but *computed* rather
-    /// than assumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Overflow`] if integerizing the basis
-    /// overflows (impossible for genuine `M_r`, whose kernel entries are
-    /// ±1), and [`LinalgError::DimensionMismatch`] on the fast
-    /// ([`SolverBackend::ModpCertified`] / [`SolverBackend::CrtCertified`])
-    /// backends (which keep no exact echelon; see
-    /// [`tracker`](Self::tracker)) or if the kernel is not
-    /// one-dimensional — which would refute Lemma 2. Both used to be
-    /// panics; as errors, a violated invariant inside a grid cell is a
-    /// typed `CellFailure` instead of a worker panic.
-    pub fn kernel_vector(&self) -> Result<Vec<i64>, LinalgError> {
-        let tracker = self.exact.as_ref().ok_or_else(|| {
-            LinalgError::dims("kernel_vector requires the exact backend (fast backends keep no exact echelon)")
-        })?;
-        let basis = tracker.kernel_basis_integer()?;
-        if basis.len() != 1 {
-            return Err(LinalgError::dims(format!(
-                "dim ker M_r = {} at rounds = {}, expected 1 (Lemma 2)",
-                basis.len(),
-                self.rounds
-            )));
-        }
-        let v = &basis[0];
-        let sign = v.iter().find(|&&x| x != 0).map_or(1, |&x| x.signum());
-        v.iter()
-            .map(|&x| i64::try_from(x * sign).map_err(|_| LinalgError::Overflow))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -966,111 +687,6 @@ mod tests {
     #[should_panic(expected = "push at least one level")]
     fn incremental_solver_current_requires_levels() {
         IncrementalSolver::new().current();
-    }
-
-    #[test]
-    fn observation_kernel_matches_batch_rref_per_round() {
-        let mut ok = ObservationKernel::new();
-        assert_eq!(ok.rounds(), 0);
-        assert_eq!(ok.nullity(), 1, "zero rounds: one unconstrained unknown");
-        // Every level up to 3^5 = 243 columns: Lemma 2 is a fact about
-        // `M_r` alone, so this pin stands in for any per-session check.
-        for r in 0..=4usize {
-            ok.push_round().unwrap();
-            assert_eq!(ok.rounds(), r + 1);
-            let dense = observation_matrix(r).unwrap().to_dense().unwrap();
-            let ech = gauss::rref(&dense).unwrap();
-            assert_eq!(ok.rank(), ech.rank(), "rank at r={r}");
-            assert_eq!(ok.rank(), row_count(r), "independent rows at r={r}");
-            assert_eq!(ok.nullity(), 1, "Lemma 2 at r={r}");
-            assert_eq!(
-                ok.tracker().pivots(),
-                ech.pivots.as_slice(),
-                "pivot columns at r={r}"
-            );
-            // The verified kernel is exactly Lemma 3's closed form. Note
-            // the tracker's rows arrive in a different order than the
-            // batch matrix's (levels interleave with refinements), yet
-            // the canonical RREF — and hence the kernel — is identical.
-            assert_eq!(ok.kernel_vector().unwrap(), kernel_vector(r), "Lemma 3 at r={r}");
-            let batch_kernel = gauss::kernel_basis(&dense).unwrap();
-            assert_eq!(ok.tracker().kernel_basis().unwrap(), batch_kernel);
-        }
-    }
-
-    #[test]
-    fn kernel_vector_on_modp_backend_is_a_typed_error() {
-        // Used to be an `expect` panic; a grid cell querying the wrong
-        // backend must now get a CellFailure-able error.
-        let mut fast = ObservationKernel::with_backend(SolverBackend::ModpCertified);
-        fast.push_round().unwrap();
-        let err = fast.kernel_vector().unwrap_err();
-        assert!(matches!(err, LinalgError::DimensionMismatch { .. }));
-        assert!(err.to_string().contains("exact backend"));
-        // The tracker itself stays usable after the failed query.
-        assert_eq!(fast.nullity(), 1);
-        fast.push_round().unwrap();
-        assert_eq!(fast.nullity(), 1);
-    }
-
-    #[test]
-    fn modp_backend_agrees_with_exact_per_round() {
-        let mut exact = ObservationKernel::new();
-        let mut fast = ObservationKernel::with_backend(SolverBackend::ModpCertified);
-        assert_eq!(fast.backend(), SolverBackend::ModpCertified);
-        assert_eq!(fast.nullity(), 1);
-        for r in 0..4usize {
-            exact.push_round().unwrap();
-            fast.push_round().unwrap();
-            assert_eq!(fast.rank(), exact.rank(), "mod-p rank at r={r}");
-            assert_eq!(fast.nullity(), 1, "mod-p Lemma 2 at r={r}");
-            assert_eq!(
-                fast.modp_tracker().unwrap().pivots(),
-                exact.tracker().pivots(),
-                "pivot columns at r={r}"
-            );
-        }
-        // Tier two: the exact replay certifies the final answer.
-        assert_eq!(fast.certify().unwrap(), 1);
-        assert_eq!(exact.certify().unwrap(), exact.nullity());
-    }
-
-    #[test]
-    #[should_panic(expected = "exact tracker is only maintained")]
-    fn modp_backend_has_no_exact_tracker() {
-        let fast = ObservationKernel::with_backend(SolverBackend::ModpCertified);
-        let _ = fast.tracker();
-    }
-
-    #[test]
-    fn crt_backend_agrees_with_exact_and_certifies_without_replay() {
-        let mut exact = ObservationKernel::new();
-        let mut fast = ObservationKernel::with_backend(SolverBackend::CrtCertified);
-        assert_eq!(fast.backend(), SolverBackend::CrtCertified);
-        assert!(fast.modp_tracker().is_none());
-        for r in 0..4usize {
-            exact.push_round().unwrap();
-            fast.push_round().unwrap();
-            assert_eq!(fast.rank(), exact.rank(), "crt rank at r={r}");
-            assert_eq!(fast.nullity(), 1, "crt Lemma 2 at r={r}");
-            assert_eq!(
-                fast.crt_tracker().unwrap().pivots(),
-                exact.tracker().pivots(),
-                "pivot columns at r={r}"
-            );
-            // The replay-free certificate reconstructs the exact basis:
-            // nullity 1 with the paper's ±1 kernel vector.
-            let cert = fast.crt_certificate().expect("reconstruction certificate");
-            assert_eq!(cert.nullity, 1, "certificate nullity at r={r}");
-            assert_eq!(
-                cert.basis,
-                exact.tracker().kernel_basis().unwrap(),
-                "certificate basis at r={r}"
-            );
-        }
-        assert_eq!(fast.certify().unwrap(), 1);
-        // Other backends never issue a CRT certificate.
-        assert!(exact.crt_certificate().is_none());
     }
 
     #[test]

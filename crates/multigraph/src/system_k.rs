@@ -19,10 +19,7 @@
 use crate::history::History;
 use crate::label::LabelSet;
 use crate::multigraph::DblMultigraph;
-use anonet_linalg::{
-    CrtCertificate, CrtKernelTracker, KernelTracker, LinalgError, ModpKernelTracker,
-    SolverBackend, SparseIntMatrix,
-};
+use anonet_linalg::{LinalgError, SparseIntMatrix};
 use core::fmt;
 
 /// The observation system builder for a given label budget `k`.
@@ -134,9 +131,11 @@ impl GeneralSystem {
     }
 
     /// Predicted kernel dimension: `columns - rows` assuming independent
-    /// rows (true for `k ≥ 2`, verified computationally). For the
-    /// degenerate `k = 1` family every level repeats the same single
-    /// constraint, so the nullity is 0 at every round.
+    /// rows. `M_r^{(k)}` depends only on `k` and `r`, so this is checked
+    /// once, by exact elimination in the tests, at every cell with at most
+    /// 512 columns (`k ≥ 2`). For the degenerate `k = 1` family every
+    /// level repeats the same single constraint, so the nullity is 0 at
+    /// every round.
     ///
     /// # Errors
     ///
@@ -202,6 +201,39 @@ impl GeneralSystem {
         Ok(m)
     }
 
+    /// The sparse connection rows that round `level` appends to the
+    /// observation system: `k · q^level` rows over the `q^{level+1}`
+    /// columns left once every length-`level` history is refined into its
+    /// `q` one-round extensions. Row `(j, p)` (label `j = 1..=k`, prefix
+    /// `p` in `q`-ary order) has a one at every child `p·S` whose label
+    /// set `S` contains `j`.
+    ///
+    /// An incremental tracker over one column that runs
+    /// `extend_columns(q)` and then appends these rows, for each
+    /// `level = 0..=r`, holds `M_r^{(k)}` up to row order — the same rank,
+    /// nullity and reduced echelon as [`GeneralSystem::observation_matrix`]
+    /// `(r)`, whose last `k · q^r` rows these are.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemKError::TooLarge`] if `q^{level+1}` overflows.
+    pub fn level_rows(&self, level: usize) -> Result<Vec<Vec<(usize, i64)>>, SystemKError> {
+        let q = self.q();
+        let prefixes = self.column_count(level)? / q;
+        let mut rows = Vec::with_capacity(self.k as usize * prefixes);
+        for j in 0..self.k {
+            for p in 0..prefixes {
+                // Digit `d` is the label set with bitmask `d + 1`.
+                let row = (0..q)
+                    .filter(|&d| (d + 1) >> j & 1 == 1)
+                    .map(|d| (p * q + d, 1))
+                    .collect();
+                rows.push(row);
+            }
+        }
+        Ok(rows)
+    }
+
     /// The census of `m` at depth `r + 1` under the `q`-ary indexing.
     ///
     /// # Errors
@@ -260,231 +292,6 @@ impl GeneralSystem {
             }
         }
         Ok(out)
-    }
-}
-
-/// Incremental echelon maintenance for the general-`k` observation
-/// matrix `M_r^{(k)}` — the `q`-ary analogue of
-/// [`ObservationKernel`](crate::system::ObservationKernel).
-///
-/// Each round extends every history column into its `q = 2^k - 1`
-/// refinements and appends the `k · q^{r+1}` new connection rows, so the
-/// *verified* kernel dimension is available per round without
-/// re-eliminating the whole matrix. For `k ≥ 3` that dimension grows
-/// with the round (see the [module docs](self)), which is exactly what
-/// the extension experiments quantify.
-///
-/// Obtain one via [`GeneralSystem::observation_kernel`]. Because the
-/// unknown count is `q^{r+1}`, [`push_round`](Self::push_round) refuses
-/// to grow past [`GeneralObservationKernel::MAX_COLUMNS`] with
-/// [`SystemKError::TooLarge`]; callers needing deeper rounds should fall
-/// back to [`GeneralSystem::predicted_nullity`].
-#[derive(Debug, Clone)]
-pub struct GeneralObservationKernel {
-    sys: GeneralSystem,
-    backend: SolverBackend,
-    exact: Option<KernelTracker>,
-    modp: Option<ModpKernelTracker>,
-    crt: Option<CrtKernelTracker>,
-    rounds: usize,
-}
-
-impl GeneralObservationKernel {
-    /// Hard cap on tracked unknowns: dense elimination beyond this is
-    /// slower than re-deriving the closed form is worth.
-    pub const MAX_COLUMNS: usize = 4096;
-
-    /// The system this kernel tracks.
-    pub fn system(&self) -> &GeneralSystem {
-        &self.sys
-    }
-
-    /// The backend this kernel was constructed with.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
-    }
-
-    /// Number of observed rounds; the tracked matrix is
-    /// `M_{rounds-1}^{(k)}` (none for zero rounds).
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    fn cols(&self) -> usize {
-        match (&self.exact, &self.modp, &self.crt) {
-            (Some(t), _, _) => t.cols(),
-            (_, Some(t), _) => t.cols(),
-            (_, _, Some(t)) => t.cols(),
-            _ => unreachable!("one tracker always present"),
-        }
-    }
-
-    /// Ingests the next round: refines every history into its `q`
-    /// children and appends the `k · q^{rounds}` new connection rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SystemKError::TooLarge`] once the unknown count would
-    /// exceed [`Self::MAX_COLUMNS`]; the tracker is left at its previous
-    /// round.
-    pub fn push_round(&mut self) -> Result<(), SystemKError> {
-        let q = self.sys.q();
-        let new_cols = self
-            .cols()
-            .checked_mul(q)
-            .filter(|&c| c <= Self::MAX_COLUMNS)
-            .ok_or(SystemKError::TooLarge)?;
-        if let Some(t) = &mut self.exact {
-            t.extend_columns(q)?;
-        }
-        if let Some(t) = &mut self.modp {
-            t.extend_columns(q)?;
-        }
-        if let Some(t) = &mut self.crt {
-            t.extend_columns(q)?;
-        }
-        debug_assert_eq!(self.cols(), new_cols);
-        // A label-j constraint row is supported on the single width-q
-        // block of its prefix — a handful of non-zeros across `q^{r+1}`
-        // columns, so every lane takes the sparse append path.
-        let prefixes = q.pow(self.rounds as u32);
-        let mut entries: Vec<(usize, i64)> = Vec::with_capacity(q);
-        for j in 1..=self.sys.k() {
-            for p in 0..prefixes {
-                entries.clear();
-                for digit in 0..q {
-                    if (digit as u32 + 1) & (1 << (j - 1)) != 0 {
-                        entries.push((p * q + digit, 1));
-                    }
-                }
-                if let Some(t) = &mut self.exact {
-                    t.append_row_sparse_i64(&entries)?;
-                }
-                if let Some(t) = &mut self.modp {
-                    t.append_row_sparse_i64(&entries)?;
-                }
-                if let Some(t) = &mut self.crt {
-                    t.append_row_sparse_i64(&entries)?;
-                }
-            }
-        }
-        self.rounds += 1;
-        Ok(())
-    }
-
-    /// Verified rank of `M_{rounds-1}^{(k)}`.
-    pub fn rank(&self) -> usize {
-        match (&self.exact, &self.modp, &self.crt) {
-            (Some(t), _, _) => t.rank(),
-            (_, Some(t), _) => t.rank(),
-            (_, _, Some(t)) => t.rank(),
-            _ => unreachable!("one tracker always present"),
-        }
-    }
-
-    /// Verified kernel dimension — matching
-    /// [`GeneralSystem::predicted_nullity`]`(rounds - 1)` whenever the
-    /// rows are independent (every `k ≥ 2`; for `k = 1` the repeated
-    /// constraint rows are dependent and the nullity stays 0).
-    pub fn nullity(&self) -> usize {
-        self.cols() - self.rank()
-    }
-
-    /// Exact kernel dimension of the current matrix, regardless of
-    /// backend: the identity on [`SolverBackend::Exact`], a one-shot
-    /// exact replay on [`SolverBackend::ModpCertified`] — the second
-    /// tier of the certification protocol, paid only at the candidate
-    /// decision round. [`SolverBackend::CrtCertified`] first attempts
-    /// the replay-free [`crt_certificate`](Self::crt_certificate) and
-    /// only replays when reconstruction fails (fail-closed).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`push_round`](Self::push_round).
-    pub fn certify(&self) -> Result<usize, SystemKError> {
-        match self.backend {
-            SolverBackend::Exact => Ok(self.nullity()),
-            SolverBackend::ModpCertified => self.certify_by_replay(),
-            SolverBackend::CrtCertified => match self.crt_certificate() {
-                Some(cert) => Ok(cert.nullity),
-                None => self.certify_by_replay(),
-            },
-        }
-    }
-
-    /// The one-shot exact replay: re-runs every observed round on the
-    /// exact backend and reports its nullity.
-    fn certify_by_replay(&self) -> Result<usize, SystemKError> {
-        let mut exact = self.sys.observation_kernel();
-        for _ in 0..self.rounds {
-            exact.push_round()?;
-        }
-        Ok(exact.nullity())
-    }
-
-    /// Attempts the replay-free certificate on the
-    /// [`SolverBackend::CrtCertified`] backend
-    /// ([`CrtKernelTracker::certify`]); `None` on other backends or when
-    /// any reconstruction / verification step fails.
-    pub fn crt_certificate(&self) -> Option<CrtCertificate> {
-        self.crt.as_ref().and_then(CrtKernelTracker::certify)
-    }
-
-    /// The underlying exact tracker (for echelon / kernel-basis
-    /// queries).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the [`SolverBackend::ModpCertified`] and
-    /// [`SolverBackend::CrtCertified`] backends, which maintain no exact
-    /// echelon (use [`certify`](Self::certify) /
-    /// [`modp_tracker`](Self::modp_tracker) /
-    /// [`crt_tracker`](Self::crt_tracker) there).
-    pub fn tracker(&self) -> &KernelTracker {
-        self.exact
-            .as_ref()
-            .expect("exact tracker is only maintained on SolverBackend::Exact")
-    }
-
-    /// The underlying mod-p tracker, when on
-    /// [`SolverBackend::ModpCertified`].
-    pub fn modp_tracker(&self) -> Option<&ModpKernelTracker> {
-        self.modp.as_ref()
-    }
-
-    /// The underlying three-prime tracker, when on
-    /// [`SolverBackend::CrtCertified`].
-    pub fn crt_tracker(&self) -> Option<&CrtKernelTracker> {
-        self.crt.as_ref()
-    }
-}
-
-impl GeneralSystem {
-    /// Starts incremental kernel maintenance for this system at zero
-    /// observed rounds, on the exact backend.
-    pub fn observation_kernel(&self) -> GeneralObservationKernel {
-        self.observation_kernel_with_backend(SolverBackend::Exact)
-    }
-
-    /// Starts incremental kernel maintenance on the chosen
-    /// [`SolverBackend`].
-    pub fn observation_kernel_with_backend(
-        &self,
-        backend: SolverBackend,
-    ) -> GeneralObservationKernel {
-        let (exact, modp, crt) = match backend {
-            SolverBackend::Exact => (Some(KernelTracker::new(1)), None, None),
-            SolverBackend::ModpCertified => (None, Some(ModpKernelTracker::new(1)), None),
-            SolverBackend::CrtCertified => (None, None, Some(CrtKernelTracker::new(1))),
-        };
-        GeneralObservationKernel {
-            sys: *self,
-            backend,
-            exact,
-            modp,
-            crt,
-            rounds: 0,
-        }
     }
 }
 
@@ -555,7 +362,7 @@ impl GeneralSystem {
 mod tests {
     use super::*;
     use crate::system;
-    use anonet_linalg::gauss;
+    use anonet_linalg::{gauss, CrtKernelTracker, KernelTracker};
 
     #[test]
     fn k2_matches_specialized_system() {
@@ -707,108 +514,66 @@ mod tests {
 
     #[test]
     fn incremental_general_kernel_matches_batch() {
-        for k in [2u8, 3, 4] {
+        // `M_r^{(k)}` depends on `k` and `r` alone, so its kernel is pinned
+        // here once instead of being re-derived in every counting session:
+        // every matrix with at most 512 columns for k = 2..=6, plus the
+        // degenerate k = 1 family up to r = 2.
+        for k in 1u8..=6 {
             let sys = GeneralSystem::new(k).unwrap();
-            let mut ok = sys.observation_kernel();
-            assert_eq!(ok.rounds(), 0);
-            let max_r = if k == 2 { 3 } else { 1 };
-            for r in 0..=max_r {
-                ok.push_round().unwrap();
-                assert_eq!(ok.rounds(), r + 1);
-                let dense = sys.observation_matrix(r).unwrap().to_dense().unwrap();
+            let mut exact = KernelTracker::new(1);
+            let mut crt = CrtKernelTracker::new(1);
+            let cells = (0usize..).take_while(|&r| {
+                if k == 1 {
+                    r <= 2
+                } else {
+                    sys.column_count(r).unwrap() <= 512
+                }
+            });
+            for r in cells {
+                // Round r: every history splits into its q extensions, then
+                // the level's connection rows arrive.
+                let rows = sys.level_rows(r).unwrap();
+                exact.extend_columns(sys.q()).unwrap();
+                crt.extend_columns(sys.q()).unwrap();
+                for row in &rows {
+                    exact.append_row_sparse_i64(row).unwrap();
+                    crt.append_row_sparse_i64(row).unwrap();
+                }
+                let predicted = sys.predicted_nullity(r).unwrap();
+                let independent = if k == 1 { 1 } else { sys.row_count(r).unwrap() };
+                assert_eq!(exact.rank(), independent, "rank, k={k} r={r}");
+                assert_eq!(exact.nullity(), predicted, "exact nullity, k={k} r={r}");
+                assert_eq!(crt.nullity(), predicted, "crt nullity, k={k} r={r}");
+                assert_eq!(crt.pivots(), exact.pivots(), "crt pivots, k={k} r={r}");
+                let basis = exact.kernel_basis().unwrap();
+                let cert = crt.certify().expect("reconstruction certificate");
+                assert_eq!(cert.nullity, predicted, "certificate, k={k} r={r}");
+                assert_eq!(cert.basis, basis, "certificate basis, k={k} r={r}");
+
+                // The generated rows are the tail of the batch matrix, and
+                // the incremental echelon is its canonical RREF.
+                let batch = sys.observation_matrix(r).unwrap();
+                let tail: Vec<Vec<(usize, i64)>> = (batch.rows() - rows.len()..batch.rows())
+                    .map(|i| batch.row(i).iter().map(|&(c, x)| (c as usize, x)).collect())
+                    .collect();
+                assert_eq!(tail, rows, "level rows, k={k} r={r}");
+                let dense = batch.to_dense().unwrap();
                 let ech = gauss::rref(&dense).unwrap();
-                assert_eq!(ok.rank(), ech.rank(), "k={k} r={r}");
-                assert_eq!(
-                    ok.nullity(),
-                    sys.predicted_nullity(r).unwrap(),
-                    "verified == predicted nullity, k={k} r={r}"
-                );
-                assert_eq!(
-                    ok.tracker().pivots(),
-                    gauss::rref(&dense).unwrap().pivots.as_slice(),
-                    "k={k} r={r}"
-                );
+                assert_eq!(exact.pivots(), ech.pivots.as_slice(), "pivots, k={k} r={r}");
+                assert_eq!(basis, gauss::kernel_basis(&dense).unwrap(), "k={k} r={r}");
+
+                if k == 2 {
+                    // Lemma 3: the kernel is the closed-form ±1 line.
+                    let mut v = exact.kernel_basis_integer().unwrap().remove(0);
+                    if v[0] < 0 {
+                        v.iter_mut().for_each(|x| *x = -*x);
+                    }
+                    let expect: Vec<i128> =
+                        system::kernel_vector(r).iter().map(|&x| x.into()).collect();
+                    assert_eq!(v, expect, "Lemma 3 at r={r}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn modp_general_kernel_agrees_with_exact() {
-        for k in [1u8, 2, 3, 4] {
-            let sys = GeneralSystem::new(k).unwrap();
-            let mut exact = sys.observation_kernel();
-            let mut fast = sys.observation_kernel_with_backend(SolverBackend::ModpCertified);
-            assert_eq!(fast.backend(), SolverBackend::ModpCertified);
-            let max_r = if k <= 2 { 3 } else { 1 };
-            for r in 0..=max_r {
-                exact.push_round().unwrap();
-                fast.push_round().unwrap();
-                assert_eq!(fast.rank(), exact.rank(), "k={k} r={r}");
-                assert_eq!(fast.nullity(), exact.nullity(), "k={k} r={r}");
-                assert_eq!(
-                    fast.modp_tracker().unwrap().pivots(),
-                    exact.tracker().pivots(),
-                    "k={k} r={r}"
-                );
-            }
-            // Second tier: one exact replay certifies the final nullity.
-            assert_eq!(fast.certify().unwrap(), exact.nullity(), "k={k}");
-            assert_eq!(exact.certify().unwrap(), exact.nullity(), "k={k}");
-        }
-    }
-
-    #[test]
-    fn crt_general_kernel_agrees_with_exact() {
-        for k in [1u8, 2, 3, 4] {
-            let sys = GeneralSystem::new(k).unwrap();
-            let mut exact = sys.observation_kernel();
-            let mut fast = sys.observation_kernel_with_backend(SolverBackend::CrtCertified);
-            assert_eq!(fast.backend(), SolverBackend::CrtCertified);
-            let max_r = if k <= 2 { 3 } else { 1 };
-            for r in 0..=max_r {
-                exact.push_round().unwrap();
-                fast.push_round().unwrap();
-                assert_eq!(fast.rank(), exact.rank(), "k={k} r={r}");
-                assert_eq!(fast.nullity(), exact.nullity(), "k={k} r={r}");
-                assert_eq!(
-                    fast.crt_tracker().unwrap().pivots(),
-                    exact.tracker().pivots(),
-                    "k={k} r={r}"
-                );
-            }
-            // Replay-free second tier: the reconstructed certificate
-            // matches the exact kernel basis byte for byte.
-            let cert = fast.crt_certificate().expect("reconstruction certificate");
-            assert_eq!(cert.nullity, exact.nullity(), "k={k}");
-            assert_eq!(cert.basis, exact.tracker().kernel_basis().unwrap(), "k={k}");
-            assert_eq!(fast.certify().unwrap(), exact.nullity(), "k={k}");
-        }
-    }
-
-    #[test]
-    fn incremental_k1_sees_dependent_rows() {
-        // k = 1 repeats the same all-ones constraint every level: the
-        // verified nullity stays 0 even though rows keep arriving.
-        let sys = GeneralSystem::new(1).unwrap();
-        let mut ok = sys.observation_kernel();
-        for r in 0..3usize {
-            ok.push_round().unwrap();
-            assert_eq!(ok.rank(), 1, "r={r}");
-            assert_eq!(ok.nullity(), 0, "r={r}");
-            assert_eq!(ok.nullity(), sys.predicted_nullity(r).unwrap());
-        }
-    }
-
-    #[test]
-    fn incremental_kernel_refuses_oversized_rounds() {
-        // k = 5 (q = 31): round 2 would need 31^3 = 29791 unknowns.
-        let sys = GeneralSystem::new(5).unwrap();
-        let mut ok = sys.observation_kernel();
-        ok.push_round().unwrap(); // 31 cols
-        ok.push_round().unwrap(); // 961 cols
-        let rounds_before = ok.rounds();
-        assert!(matches!(ok.push_round(), Err(SystemKError::TooLarge)));
-        assert_eq!(ok.rounds(), rounds_before, "failed push leaves state");
     }
 
     #[test]

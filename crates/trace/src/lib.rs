@@ -105,11 +105,10 @@ pub struct RoundEvent {
     /// (e.g. `"kernel|violation:connectivity|r2|crash,drop"`); set
     /// alongside [`fitness`](RoundEvent::fitness).
     pub coverage: Option<String>,
-    /// How the decision round's kernel dimension was certified by a fast
-    /// solver backend (`"crt"` for a reconstructed CRT certificate,
-    /// `"exact-replay"` for the one-shot exact re-elimination); absent on
-    /// non-decision rounds, on the exact backend, and unless the
-    /// algorithm opts in to certification tracing.
+    /// How a decision round's kernel dimension was certified (`"crt"` for
+    /// a reconstructed CRT certificate, `"exact-replay"` for an exact
+    /// re-elimination). No algorithm in this workspace sets it; it is
+    /// kept so that traces which carry it still parse and round-trip.
     pub certification: Option<String>,
     /// Deliveries observed on the history-tree *spine* (the all-`{1,2}`
     /// history `T^r`) this round; set by the history-tree counting

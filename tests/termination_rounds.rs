@@ -59,39 +59,6 @@ fn golden_kernel_counting_rounds_on_worst_case_adversary() {
 }
 
 #[test]
-fn golden_kernel_counting_rounds_with_verification() {
-    // The opt-in incremental kernel verifier must not change a single
-    // decision round.
-    for &(n, rounds) in &[(1u64, 2u32), (4, 3), (13, 4), (40, 5)] {
-        let pair = TwinBuilder::new().build(n).unwrap();
-        let out = KernelCounting::new()
-            .with_kernel_verification()
-            .run(&pair.smaller, 32)
-            .unwrap();
-        assert_eq!((out.count, out.rounds), (n, rounds), "n={n}");
-    }
-}
-
-#[test]
-fn golden_kernel_counting_rounds_with_modp_backend() {
-    // The two-tier mod-p backend must not change a single decision
-    // round either: the modular watcher is advisory and the decision is
-    // re-certified with exact arithmetic before it is announced. The
-    // n = 121 row decides at round 6 — a 3^7-column system past the
-    // certification budget — exercising the full-replay certification
-    // path.
-    use anonet::linalg::SolverBackend;
-    for &(n, rounds) in &[(1u64, 2u32), (4, 3), (13, 4), (40, 5), (121, 6)] {
-        let pair = TwinBuilder::new().build(n).unwrap();
-        let out = KernelCounting::new()
-            .with_backend(SolverBackend::ModpCertified)
-            .run(&pair.smaller, 32)
-            .unwrap();
-        assert_eq!((out.count, out.rounds), (n, rounds), "n={n}");
-    }
-}
-
-#[test]
 fn golden_pd2_view_counting_rounds_match_corollary_bound() {
     // On the G(PD)_2 images of the worst-case twins, the view rule
     // decides in exactly (D - 2) + ⌊log₃(2n+1)⌋ + 1 rounds — the
