@@ -8,7 +8,6 @@ pub mod faults;
 mod figures;
 mod lemmas;
 pub mod linalg_scaling;
-pub mod modp_scaling;
 pub mod net;
 pub mod runner;
 pub mod scale;

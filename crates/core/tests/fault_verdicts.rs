@@ -26,8 +26,8 @@ use anonet_core::transport::ExecutionSource;
 use anonet_core::verdict::{
     general_k_source_verdict, general_k_verdict_with_sink, history_tree_source_verdict,
     history_tree_verdict_with_sink, kernel_source_verdict, kernel_verdict, kernel_verdict_with_sink,
-    simulate_with_faults, thin_multigraph, FaultPlan, Verdict, ViolationKind,
-    SEARCH_GENERAL_K_BUDGET,
+    simulate_with_faults, thin_multigraph, FaultPlan, FaultedRounds, Verdict, Violation,
+    ViolationKind, WatchedLeader, SEARCH_GENERAL_K_BUDGET,
 };
 use anonet_multigraph::adversary::TwinBuilder;
 use anonet_multigraph::{Census, DblMultigraph};
@@ -258,6 +258,48 @@ fn thinning_stays_in_model() {
     // it exactly (possibly in more rounds).
     let verdict = run_watched(&thinned, 16, &FaultPlan::new());
     assert_eq!(verdict.count(), Some(13));
+}
+
+// A known gap, pinned: guarded confirmation stops growing the census
+// past `3^10` columns and screens the later rounds only (delivery
+// integrity and connectivity). On both n = 3280 twins the guarded runner
+// decides at round 9 and the level-10 census is never built, so a fault
+// at round 10 passes unseen. A watched leader that builds the full
+// census every round sees the same fault as a census-conservation trip.
+// A confirmation that drops the budget must either keep the screen-only
+// rounds past level 9 or accept these verdict changes.
+#[test]
+fn budgeted_confirmation_misses_a_fault_the_full_census_sees() {
+    let pair = TwinBuilder::new().build(3280).unwrap();
+    let budget = pair.horizon + 4;
+    assert_eq!(budget, 11);
+    let plans = [
+        FaultPlan::new().duplicate_deliveries(10, 3, 1),
+        FaultPlan::new().crash_nodes(10, 2),
+    ];
+    for (m, n) in [(&pair.smaller, 3280u64), (&pair.larger, 3281)] {
+        for plan in &plans {
+            assert_eq!(
+                kernel_verdict(m, budget, plan, true),
+                Verdict::Correct { count: n, rounds: 9 },
+                "n={n} {plan:?}"
+            );
+            let mut rounds = FaultedRounds::new(m, budget as usize, plan);
+            let mut leader = WatchedLeader::new();
+            let mut last = Ok(());
+            while let Some(deliveries) = rounds.next_round() {
+                last = leader.ingest(rounds.arena(), &deliveries).map(|_| ());
+            }
+            assert_eq!(
+                last,
+                Err(Violation {
+                    kind: ViolationKind::CensusConservation,
+                    round: 10
+                }),
+                "n={n} {plan:?}"
+            );
+        }
+    }
 }
 
 /// 64-bit FNV-1a, folded over successive strings.

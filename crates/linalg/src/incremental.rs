@@ -177,8 +177,7 @@ impl KernelTracker {
         let reduced = match self.reduce_integer(row) {
             Ok(r) => r,
             Err(LinalgError::Overflow) => {
-                let rational: Vec<Ratio> =
-                    row.iter().map(|&x| Ratio::from_integer(x)).collect();
+                let rational: Vec<Ratio> = row.iter().map(|&x| Ratio::from_integer(x)).collect();
                 self.reduce_rational(&rational)?
             }
             Err(e) => return Err(e),
@@ -205,8 +204,8 @@ impl KernelTracker {
                 self.cols
             )));
         }
-        let integer_attempt = gauss::to_integer_vector(row)
-            .and_then(|ints| self.reduce_integer(&ints));
+        let integer_attempt =
+            gauss::to_integer_vector(row).and_then(|ints| self.reduce_integer(&ints));
         let reduced = match integer_attempt {
             Ok(r) => r,
             Err(LinalgError::Overflow) => self.reduce_rational(row)?,
@@ -287,10 +286,7 @@ impl KernelTracker {
         if factor == 1 {
             return Ok(());
         }
-        let new_cols = self
-            .cols
-            .checked_mul(factor)
-            .ok_or(LinalgError::Overflow)?;
+        let new_cols = self.cols.checked_mul(factor).ok_or(LinalgError::Overflow)?;
         // Scale the pivots first, with checked arithmetic, so a failure
         // leaves the tracker untouched instead of half-widened.
         let pivots: Vec<usize> = self
@@ -394,11 +390,15 @@ impl KernelTracker {
             let d = self.rows[i][pc];
             for (c, x) in v.iter_mut().enumerate() {
                 let scaled = x.checked_mul(d).ok_or(LinalgError::Overflow)?;
-                let sub = self.rows[i][c].checked_mul(a).ok_or(LinalgError::Overflow)?;
+                let sub = self.rows[i][c]
+                    .checked_mul(a)
+                    .ok_or(LinalgError::Overflow)?;
                 *x = scaled.checked_sub(sub).ok_or(LinalgError::Overflow)?;
             }
             debug_assert_eq!(v[pc], 0);
-            if v.iter().any(|x| x.unsigned_abs() > RENORM_THRESHOLD as u128) {
+            if v.iter()
+                .any(|x| x.unsigned_abs() > RENORM_THRESHOLD as u128)
+            {
                 primitivize(&mut v)?;
             }
         }
@@ -609,9 +609,9 @@ mod tests {
         // Validation failures leave the tracker unchanged.
         let before = sparse.clone();
         for bad in [
-            &[(6, 1)][..],                // out of range
-            &[(2, 1), (2, 5)][..],        // duplicate column
-            &[(3, 1), (1, 1)][..],        // descending
+            &[(6, 1)][..],         // out of range
+            &[(2, 1), (2, 5)][..], // duplicate column
+            &[(3, 1), (1, 1)][..], // descending
         ] {
             assert!(matches!(
                 sparse.append_row_sparse_i64(bad),
@@ -677,13 +677,11 @@ mod tests {
         assert_eq!(t.rank(), 2);
         assert_eq!(t.nullity(), 1);
         for k in t.kernel_basis().unwrap() {
-            let out = Matrix::from_rows(vec![
-                row.clone(),
-                vec![Ratio::ZERO, Ratio::ONE, Ratio::ONE],
-            ])
-            .unwrap()
-            .mul_vec(&k)
-            .unwrap();
+            let out =
+                Matrix::from_rows(vec![row.clone(), vec![Ratio::ZERO, Ratio::ONE, Ratio::ONE]])
+                    .unwrap()
+                    .mul_vec(&k)
+                    .unwrap();
             assert!(out.iter().all(Ratio::is_zero));
         }
     }

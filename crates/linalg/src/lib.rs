@@ -28,23 +28,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crt;
 pub mod enumerate;
 mod error;
 pub mod gauss;
 pub mod incremental;
 mod matrix;
-pub mod modp;
-pub mod montops;
 mod ratio;
 mod sparse;
 pub mod vector;
 
-pub use crt::{CrtCertificate, CrtKernelTracker, CRT_PRIMES};
 pub use error::{LinalgError, Result};
 pub use incremental::KernelTracker;
 pub use matrix::Matrix;
-pub use modp::ModpKernelTracker;
-pub use montops::MontPrime;
 pub use ratio::{gcd_i128, Ratio};
 pub use sparse::SparseIntMatrix;

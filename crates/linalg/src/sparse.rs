@@ -173,101 +173,6 @@ impl SparseIntMatrix {
         Ok(self.mul_vec(v)?.iter().all(|&x| x == 0))
     }
 
-    /// Exact matrix-vector product with a rational vector, with checked
-    /// arithmetic throughout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `v.len() != cols()`
-    /// and [`LinalgError::Overflow`] if any term or accumulation overflows.
-    pub fn mul_vec_rational(&self, v: &[Ratio]) -> Result<Vec<Ratio>> {
-        if v.len() != self.cols {
-            return Err(LinalgError::dims(format!(
-                "sparse {}x{} * rational vector of length {}",
-                self.rows.len(),
-                self.cols,
-                v.len()
-            )));
-        }
-        let mut out = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
-            let mut acc = Ratio::ZERO;
-            for &(c, val) in row {
-                let term = Ratio::from(val).checked_mul(&v[c as usize])?;
-                acc = acc.checked_add(&term)?;
-            }
-            out.push(acc);
-        }
-        Ok(out)
-    }
-
-    /// Sparse kernel-identity check against a rational vector: does
-    /// `M · v = 0` exactly? This is the verification step of the CRT
-    /// certificate (see [`crate::CrtKernelTracker::certify`]): `O(nnz)`
-    /// checked rational operations, no elimination.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `v.len() != cols()`
-    /// and [`LinalgError::Overflow`] on checked-arithmetic overflow.
-    pub fn annihilates_rational(&self, v: &[Ratio]) -> Result<bool> {
-        if v.len() != self.cols {
-            return Err(LinalgError::dims(format!(
-                "sparse {}x{} * rational vector of length {}",
-                self.rows.len(),
-                self.cols,
-                v.len()
-            )));
-        }
-        for row in &self.rows {
-            let mut acc = Ratio::ZERO;
-            for &(c, val) in row {
-                let term = Ratio::from(val).checked_mul(&v[c as usize])?;
-                acc = acc.checked_add(&term)?;
-            }
-            if !acc.is_zero() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Replaces every column by `factor` adjacent copies of itself: entry
-    /// `(c, v)` becomes entries `(c·factor + t, v)` for `t < factor` —
-    /// the same `M ⊗ 1ᵀ_factor` widening the kernel trackers apply per
-    /// round, so retained observation rows stay aligned with the tracked
-    /// echelon state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] for `factor == 0` and
-    /// [`LinalgError::Overflow`] if the new width overflows `usize` or the
-    /// `u32` column index space.
-    pub fn extend_columns(&mut self, factor: usize) -> Result<()> {
-        if factor == 0 {
-            return Err(LinalgError::dims("column extension factor must be >= 1"));
-        }
-        if factor == 1 {
-            return Ok(());
-        }
-        let new_cols = self.cols.checked_mul(factor).ok_or(LinalgError::Overflow)?;
-        if new_cols > u32::MAX as usize {
-            return Err(LinalgError::Overflow);
-        }
-        for row in &mut self.rows {
-            let mut wide = Vec::with_capacity(row.len() * factor);
-            for &(c, v) in row.iter() {
-                for t in 0..factor as u32 {
-                    wide.push((c * factor as u32 + t, v));
-                }
-            }
-            *row = wide;
-        }
-        self.nnz = self.nnz.checked_mul(factor).ok_or(LinalgError::Overflow)?;
-        self.cols = new_cols;
-        Ok(())
-    }
-
     /// Converts to a dense rational [`Matrix`] (small instances only).
     ///
     /// # Errors
@@ -372,40 +277,6 @@ mod tests {
         assert!(m.annihilates(&[1, 1, -1]).unwrap());
         assert!(!m.annihilates(&[1, 1, 0]).unwrap());
         assert!(m.annihilates(&[1]).is_err());
-    }
-
-    #[test]
-    fn rational_product_and_annihilation() {
-        let m = sample();
-        let half = Ratio::new(1, 2).unwrap();
-        let v = vec![half, half, -half];
-        assert_eq!(
-            m.mul_vec_rational(&v).unwrap(),
-            vec![Ratio::ZERO, Ratio::ZERO]
-        );
-        assert!(m.annihilates_rational(&v).unwrap());
-        assert!(!m.annihilates_rational(&[half, half, half]).unwrap());
-        assert!(m.annihilates_rational(&[half]).is_err());
-        assert!(m.mul_vec_rational(&[half]).is_err());
-    }
-
-    #[test]
-    fn extend_columns_kroneckers_entries() {
-        let mut m = sample();
-        assert!(m.extend_columns(0).is_err());
-        m.extend_columns(1).unwrap();
-        assert_eq!(m, sample());
-        m.extend_columns(2).unwrap();
-        assert_eq!((m.rows(), m.cols(), m.nnz()), (2, 6, 8));
-        assert_eq!(m.row(0), &[(0, 1), (1, 1), (4, 1), (5, 1)]);
-        assert_eq!(m.row(1), &[(2, 1), (3, 1), (4, 1), (5, 1)]);
-        // The widened matrix annihilates the widened kernel vector.
-        assert!(m.annihilates(&[1, 1, 1, 1, -1, -1]).unwrap());
-        // Widening matches rebuilding from the widened dense matrix.
-        let mut direct = SparseIntMatrix::new(6);
-        direct.push_row(vec![(0, 1), (1, 1), (4, 1), (5, 1)]).unwrap();
-        direct.push_row(vec![(2, 1), (3, 1), (4, 1), (5, 1)]).unwrap();
-        assert_eq!(m, direct);
     }
 
     #[test]

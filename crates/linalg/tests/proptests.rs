@@ -1,9 +1,6 @@
 //! Property-based tests for the exact linear-algebra substrate.
 
-use anonet_linalg::{
-    gauss, vector, CrtKernelTracker, KernelTracker, LinalgError, Matrix, ModpKernelTracker, Ratio,
-    SparseIntMatrix, CRT_PRIMES,
-};
+use anonet_linalg::{gauss, vector, KernelTracker, LinalgError, Matrix, Ratio, SparseIntMatrix};
 use proptest::prelude::*;
 
 fn small_ratio() -> impl Strategy<Value = Ratio> {
@@ -272,122 +269,5 @@ proptest! {
             t.kernel_basis().unwrap(),
             gauss::kernel_basis(&reference).unwrap()
         );
-    }
-
-    #[test]
-    fn modp_tracker_matches_exact_at_every_prefix(
-        rows in proptest::collection::vec(proptest::collection::vec(-1i64..=1, 5), 1..8),
-    ) {
-        // On 0/±1 append sequences (the observation-system regime) every
-        // maximal minor is far below P, so the mod-p tracker must agree
-        // with the exact one on rank, nullity and pivots after EVERY
-        // append — not just at the end.
-        let mut exact = KernelTracker::new(5);
-        let mut modp = ModpKernelTracker::new(5);
-        for row in &rows {
-            let rr: Vec<Ratio> = row.iter().map(|&x| Ratio::from(x)).collect();
-            exact.append_row(&rr).unwrap();
-            modp.append_row_i64(row).unwrap();
-            prop_assert_eq!(modp.rank(), exact.rank());
-            prop_assert_eq!(modp.nullity(), exact.nullity());
-            prop_assert_eq!(modp.pivots(), exact.pivots());
-        }
-    }
-
-    #[test]
-    fn modp_tracker_extend_columns_matches_exact(
-        narrow in proptest::collection::vec(proptest::collection::vec(-1i64..=1, 3), 1..5),
-        wide in proptest::collection::vec(proptest::collection::vec(-1i64..=1, 9), 0..4),
-        f in 1usize..=3,
-    ) {
-        // Interleave appends with a Kronecker widening (the per-round
-        // column-growth step) and require agreement at every prefix of
-        // the mixed sequence.
-        let mut exact = KernelTracker::new(3);
-        let mut modp = ModpKernelTracker::new(3);
-        for row in &narrow {
-            let rr: Vec<Ratio> = row.iter().map(|&x| Ratio::from(x)).collect();
-            exact.append_row(&rr).unwrap();
-            modp.append_row_i64(row).unwrap();
-            prop_assert_eq!(modp.rank(), exact.rank());
-            prop_assert_eq!(modp.pivots(), exact.pivots());
-        }
-        exact.extend_columns(3).unwrap();
-        modp.extend_columns(3).unwrap();
-        prop_assert_eq!(modp.rank(), exact.rank());
-        prop_assert_eq!(modp.nullity(), exact.nullity());
-        prop_assert_eq!(modp.pivots(), exact.pivots());
-        for row in &wide {
-            let rr: Vec<Ratio> = row.iter().map(|&x| Ratio::from(x)).collect();
-            exact.append_row(&rr).unwrap();
-            modp.append_row_i64(row).unwrap();
-            prop_assert_eq!(modp.rank(), exact.rank());
-            prop_assert_eq!(modp.nullity(), exact.nullity());
-            prop_assert_eq!(modp.pivots(), exact.pivots());
-        }
-        // A second widening by a variable factor.
-        exact.extend_columns(f).unwrap();
-        modp.extend_columns(f).unwrap();
-        prop_assert_eq!(modp.rank(), exact.rank());
-        prop_assert_eq!(modp.nullity(), exact.nullity());
-        prop_assert_eq!(modp.pivots(), exact.pivots());
-    }
-
-    #[test]
-    fn crt_certificate_is_byte_identical_to_exact_elimination(
-        rows in proptest::collection::vec(proptest::collection::vec(-30i64..=30, 5), 1..8),
-    ) {
-        // The CRT-reconstructed kernel basis must be the SAME Vec<Ratio>
-        // values exact elimination produces — not merely an equivalent
-        // basis. (Both are pinned to the unit-at-free-column form, so
-        // byte identity is the correct requirement.)
-        let mut exact = KernelTracker::new(5);
-        let mut crt = CrtKernelTracker::new(5);
-        for row in &rows {
-            let as128: Vec<i128> = row.iter().map(|&x| x as i128).collect();
-            exact.append_row_i128(&as128).unwrap();
-            crt.append_row_i64(row).unwrap();
-            prop_assert_eq!(crt.rank(), exact.rank());
-            prop_assert_eq!(crt.pivots(), exact.pivots());
-        }
-        let cert = crt.certify().expect("entries ≤ 30 certify at depth 5");
-        prop_assert_eq!(cert.nullity, exact.nullity());
-        prop_assert_eq!(cert.basis, exact.kernel_basis().unwrap());
-    }
-
-    #[test]
-    fn crt_certify_fails_closed_on_prime_aliasing_rows(
-        base in proptest::collection::vec(proptest::collection::vec(-1i64..=1, 4), 1..6),
-        aliased in 0usize..6,
-        lane in 0usize..3,
-    ) {
-        // A row scaled by one CRT prime vanishes in that lane but not in
-        // the others (and not over ℚ), so the aliased lane may lose rank
-        // relative to the rational matrix. certify() must never return a
-        // wrong certificate: it either fails closed (None) or the exact
-        // verification passed, in which case the basis must still be
-        // byte-identical to exact elimination.
-        let p = CRT_PRIMES[lane] as i64;
-        let mut exact = KernelTracker::new(4);
-        let mut crt = CrtKernelTracker::new(4);
-        let mut lane_zeroed = false;
-        for (i, row) in base.iter().enumerate() {
-            let scale = if i == aliased { p } else { 1 };
-            lane_zeroed |= i == aliased && row.iter().any(|&x| x != 0);
-            let scaled: Vec<i64> = row.iter().map(|&x| x * scale).collect();
-            let as128: Vec<i128> = scaled.iter().map(|&x| x as i128).collect();
-            exact.append_row_i128(&as128).unwrap();
-            crt.append_row_i64(&scaled).unwrap();
-        }
-        match crt.certify() {
-            Some(cert) => {
-                prop_assert_eq!(cert.nullity, exact.nullity());
-                prop_assert_eq!(cert.basis, exact.kernel_basis().unwrap());
-            }
-            None => prop_assert!(
-                lane_zeroed,
-                "certify refused an instance with no prime-aliased row"
-            ),
-        }
     }
 }

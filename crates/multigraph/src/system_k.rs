@@ -362,7 +362,7 @@ impl GeneralSystem {
 mod tests {
     use super::*;
     use crate::system;
-    use anonet_linalg::{gauss, CrtKernelTracker, KernelTracker};
+    use anonet_linalg::{gauss, KernelTracker};
 
     #[test]
     fn k2_matches_specialized_system() {
@@ -521,7 +521,6 @@ mod tests {
         for k in 1u8..=6 {
             let sys = GeneralSystem::new(k).unwrap();
             let mut exact = KernelTracker::new(1);
-            let mut crt = CrtKernelTracker::new(1);
             let cells = (0usize..).take_while(|&r| {
                 if k == 1 {
                     r <= 2
@@ -534,21 +533,14 @@ mod tests {
                 // the level's connection rows arrive.
                 let rows = sys.level_rows(r).unwrap();
                 exact.extend_columns(sys.q()).unwrap();
-                crt.extend_columns(sys.q()).unwrap();
                 for row in &rows {
                     exact.append_row_sparse_i64(row).unwrap();
-                    crt.append_row_sparse_i64(row).unwrap();
                 }
                 let predicted = sys.predicted_nullity(r).unwrap();
                 let independent = if k == 1 { 1 } else { sys.row_count(r).unwrap() };
                 assert_eq!(exact.rank(), independent, "rank, k={k} r={r}");
                 assert_eq!(exact.nullity(), predicted, "exact nullity, k={k} r={r}");
-                assert_eq!(crt.nullity(), predicted, "crt nullity, k={k} r={r}");
-                assert_eq!(crt.pivots(), exact.pivots(), "crt pivots, k={k} r={r}");
                 let basis = exact.kernel_basis().unwrap();
-                let cert = crt.certify().expect("reconstruction certificate");
-                assert_eq!(cert.nullity, predicted, "certificate, k={k} r={r}");
-                assert_eq!(cert.basis, basis, "certificate basis, k={k} r={r}");
 
                 // The generated rows are the tail of the batch matrix, and
                 // the incremental echelon is its canonical RREF.

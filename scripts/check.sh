@@ -41,31 +41,19 @@ fi
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> fixed-seed incremental-vs-batch + mod-p proptests"
+echo "==> fixed-seed exact-tracker-vs-batch proptests"
 cargo test -p anonet-linalg --test proptests --quiet
+
+echo "==> cargo fmt --check -p anonet-linalg (formatting ratchet)"
+cargo fmt --check -p anonet-linalg
 
 echo "==> cargo bench --no-run (criterion groups must compile)"
 cargo bench --workspace --no-run --quiet
 
 if [[ $fast -eq 0 ]]; then
-    echo "==> BENCH schema smokes (exp_linalg_scaling / exp_modp_scaling --smoke)"
+    echo "==> BENCH schema smoke (exp_linalg_scaling --smoke)"
     cargo build --release -p anonet-bench --quiet
     target/release/exp_linalg_scaling --smoke >/dev/null
-    target/release/exp_modp_scaling --smoke >/dev/null
-
-    echo "==> mod-p elimination: exp_modp_scaling --smoke vs its golden"
-    # The smoke fast cell re-proves in-process that the fused append is
-    # byte-identical to the scalar path; the committed document pins the
-    # timing-stripped facts (rows, cols, rank, echelon digest).
-    mbin=target/release/exp_modp_scaling
-    mfresh=$(mktemp)
-    "$mbin" --smoke --json --no-timings >"$mfresh"
-    same_output "exp_modp_scaling --smoke differs from tests/golden/exp_modp_scaling_smoke.json" \
-        tests/golden/exp_modp_scaling_smoke.json "$mfresh" "$mfresh"
-    rm -f "$mfresh"
-
-    echo "==> committed BENCH_modp.json gates (exp_modp_scaling --lint-bench: speedup floors, fast n >= 10^5)"
-    "$mbin" --lint-bench BENCH_modp.json >/dev/null
 fi
 
 if [[ $fast -eq 0 ]]; then
